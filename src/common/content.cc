@@ -44,8 +44,7 @@ void SetCanonicalizationEnabled(bool enabled) {
 
 bool CanonicalizationEnabled() { return g_canonicalize.load(std::memory_order_relaxed); }
 
-uint64_t HashBytes(const uint8_t* data, size_t n) {
-  uint64_t h = 0xcbf29ce484222325ull;
+uint64_t HashBytes(const uint8_t* data, size_t n, uint64_t h) {
   for (size_t i = 0; i < n; ++i) {
     h ^= data[i];
     h *= 0x100000001b3ull;

@@ -67,8 +67,10 @@ Bytes Synthesize(uint64_t phase, uint64_t offset, uint64_t n);
 void SetCanonicalizationEnabled(bool enabled);
 bool CanonicalizationEnabled();
 
-// FNV-1a 64-bit over a byte range (the content-address hash).
-uint64_t HashBytes(const uint8_t* data, size_t n);
+// FNV-1a 64-bit over a byte range (the content-address hash). Passing the
+// hash of earlier bytes as `h` continues it over this range.
+inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
+uint64_t HashBytes(const uint8_t* data, size_t n, uint64_t h = kFnvOffsetBasis);
 
 // A file's contents: `gen_len` generative bytes at `phase`, then `tail`
 // literal bytes. Either half may be empty. Immutable and cheaply copyable;

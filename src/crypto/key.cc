@@ -48,15 +48,17 @@ Key DeriveKeyFromPassword(std::string_view password, std::string_view salt) {
 }
 
 Key DeriveSubKey(const Key& base, uint64_t nonce) {
+  // Encrypt the nonce, then that block again, under the base key; the two
+  // results fold into the key's two halves.
+  const XteaSchedule schedule(base);
   Key out = base;
-  uint8_t block[kBlockSize];
-  for (int j = 0; j < kBlockSize; ++j) {
-    block[j] = static_cast<uint8_t>(nonce >> (8 * j));
+  uint32_t block[2] = {static_cast<uint32_t>(nonce), static_cast<uint32_t>(nonce >> 32)};
+  for (int half = 0; half < 2; ++half) {
+    XteaEncryptBlock(schedule, block);
+    for (int j = 0; j < kBlockSize; ++j) {
+      out.bytes[kBlockSize * half + j] ^= static_cast<uint8_t>(block[j / 4] >> (8 * (j % 4)));
+    }
   }
-  XteaEncryptBlock(base, block);
-  for (int j = 0; j < kBlockSize; ++j) out.bytes[j] ^= block[j];
-  XteaEncryptBlock(base, block);
-  for (int j = 0; j < kBlockSize; ++j) out.bytes[j + 8] ^= block[j];
   return out;
 }
 

@@ -9,6 +9,8 @@
 #ifndef SRC_CRYPTO_XTEA_H_
 #define SRC_CRYPTO_XTEA_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "src/crypto/key.h"
@@ -18,15 +20,52 @@ namespace itc::crypto {
 inline constexpr int kXteaRounds = 64;
 inline constexpr int kBlockSize = 8;  // bytes
 
+// A key expanded for XTEA. Each of the 32 cycles adds one key-dependent word
+// into each half of the block, (sum + k[sum & 3]) into v0 and then
+// (sum' + k[(sum' >> 11) & 3]) into v1. Expanding them once per key keeps key
+// unpacking out of every block.
+struct XteaSchedule {
+  explicit XteaSchedule(const Key& key);
+
+  std::array<uint32_t, kXteaRounds / 2> v0_addend;
+  std::array<uint32_t, kXteaRounds / 2> v1_addend;
+};
+
 // Encrypts one 64-bit block in place. `block` is two little-endian words.
+void XteaEncryptBlock(const XteaSchedule& schedule, uint32_t block[2]);
+
+// Blocks decrypted side by side by XteaDecryptLanes. Decryption of
+// independent blocks (CBC decryption, for one) has no chain between them,
+// so each cycle's lane loop can compile to SIMD code.
+inline constexpr size_t kXteaLanes = 32;
+
+// kXteaLanes independent blocks; block l is the words (v0[l], v1[l]).
+struct XteaLanes {
+  uint32_t v0[kXteaLanes];
+  uint32_t v1[kXteaLanes];
+};
+
+// Decrypts every block of `lanes` in place.
+void XteaDecryptLanes(const XteaSchedule& schedule, XteaLanes& lanes);
+
+// Single-block conveniences that expand `key` on each call. The byte form
+// packs the 8 bytes as two little-endian words.
 void XteaEncryptBlock(const Key& key, uint32_t block[2]);
-
-// Decrypts one 64-bit block in place.
 void XteaDecryptBlock(const Key& key, uint32_t block[2]);
-
-// Byte-oriented convenience wrappers over 8-byte blocks.
 void XteaEncryptBlock(const Key& key, uint8_t block[kBlockSize]);
-void XteaDecryptBlock(const Key& key, uint8_t block[kBlockSize]);
+
+// Little-endian packing of block words.
+inline uint32_t LoadWord(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+}
+
+inline void StoreWord(uint32_t v, uint8_t* p) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+}
 
 }  // namespace itc::crypto
 

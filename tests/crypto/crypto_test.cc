@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "src/common/content.h"
+#include "src/common/rng.h"
 #include "src/crypto/cbc.h"
 #include "src/crypto/handshake.h"
 #include "src/crypto/key.h"
@@ -85,6 +92,18 @@ TEST(KeyDerivationTest, SubKeysDifferByNonce) {
   EXPECT_NE(DeriveSubKey(base, 1), base);
 }
 
+TEST(KeyDerivationTest, MatchesGoldenKeys) {
+  // Recorded from the block-at-a-time cipher. Session keys come from
+  // DeriveSubKey, so a mismatch changes every sealed byte of a session.
+  const Key user = DeriveKeyFromPassword("rosebud", "itc.cmu.edu");
+  const Key empty = DeriveKeyFromPassword("", "realm");
+  EXPECT_EQ(user.ToHex(), "8965ee9ce7b5963ce4fe742ba7b6eb18");
+  EXPECT_EQ(empty.ToHex(), "34d6ae4d02eb40581419688b15cd9728");
+  EXPECT_EQ(DeriveSubKey(user, 1).ToHex(), "0fdd3679c02ae47b45f1f147c8520d7c");
+  EXPECT_EQ(DeriveSubKey(empty, 0xfedcba9876543210ull).ToHex(),
+            "4f94c6feeb3f67064aed651b76b26532");
+}
+
 TEST(KeyTest, ToHexFormats) {
   Key k;
   k.bytes.fill(0xab);
@@ -129,9 +148,17 @@ TEST(SealTest, WrongKeyDetected) {
   EXPECT_EQ(Open(TestKey(0x20), sealed).status(), Status::kTamperDetected);
 }
 
-TEST(SealTest, EveryBitFlipDetected) {
+// Flips bits throughout a sealed message of GetParam() bytes. 17 bytes fit
+// in one partial decryption batch; 525 bytes fill two whole batches of
+// kXteaLanes blocks and leave a ragged tail.
+class SealTamperTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SealTamperTest, EveryBitFlipDetected) {
   const Key key = TestKey(0x31);
-  const Bytes sealed = Seal(key, ToBytes("integrity matters"), 9);
+  const std::string text = "integrity matters";
+  Bytes plain(GetParam());
+  for (size_t i = 0; i < plain.size(); ++i) plain[i] = static_cast<uint8_t>(text[i % text.size()]);
+  const Bytes sealed = Seal(key, plain, 9);
   for (size_t byte = 0; byte < sealed.size(); ++byte) {
     for (int bit = 0; bit < 8; bit += 3) {
       Bytes tampered = sealed;
@@ -141,6 +168,8 @@ TEST(SealTest, EveryBitFlipDetected) {
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Lengths, SealTamperTest, ::testing::Values(17, 525));
 
 TEST(SealTest, TruncationDetected) {
   const Key key = TestKey(0x44);
@@ -152,6 +181,75 @@ TEST(SealTest, TruncationDetected) {
 TEST(SealTest, GarbageRejected) {
   EXPECT_FALSE(Open(TestKey(0x01), Bytes{1, 2, 3}).ok());
   EXPECT_FALSE(Open(TestKey(0x01), Bytes(40, 0x5a)).ok());
+}
+
+// Reference envelope, one block at a time through the Key-taking
+// XteaEncryptBlock: IV || CBC(plaintext || zero padding || length || FNV-1a
+// of plaintext), the IV being the encrypted seed.
+Bytes ReferenceSeal(const Key& key, const Bytes& plain, uint64_t iv_seed) {
+  auto put_u64 = [](uint64_t v, uint8_t* p) {
+    for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+  };
+  uint64_t fnv = 0xcbf29ce484222325ull;
+  for (uint8_t b : plain) {
+    fnv ^= b;
+    fnv *= 0x100000001b3ull;
+  }
+  const size_t padded = (plain.size() + 16 + kBlockSize - 1) / kBlockSize * kBlockSize;
+  Bytes out(kBlockSize + padded, 0);
+  put_u64(iv_seed, out.data());
+  XteaEncryptBlock(key, out.data());
+  std::copy(plain.begin(), plain.end(), out.begin() + kBlockSize);
+  put_u64(plain.size(), out.data() + out.size() - 16);
+  put_u64(fnv, out.data() + out.size() - 8);
+  for (size_t off = kBlockSize; off < out.size(); off += kBlockSize) {
+    for (int j = 0; j < kBlockSize; ++j) out[off + j] ^= out[off - kBlockSize + j];
+    XteaEncryptBlock(key, out.data() + off);
+  }
+  return out;
+}
+
+TEST(SealTest, MatchesBlockAtATimeReference) {
+  std::vector<size_t> lengths(601);
+  std::iota(lengths.begin(), lengths.end(), 0);
+  for (size_t length : {4099, 16389, 65536, 70 * 1024}) lengths.push_back(length);
+  Rng rng(0x5ea1);
+  for (size_t length : lengths) {
+    Key key;
+    for (uint8_t& b : key.bytes) b = static_cast<uint8_t>(rng.NextU64());
+    Bytes plain(length);
+    for (uint8_t& b : plain) b = static_cast<uint8_t>(rng.NextU64());
+    const uint64_t iv_seed = rng.NextU64();
+    const Bytes sealed = Seal(key, plain, iv_seed);
+    ASSERT_EQ(sealed, ReferenceSeal(key, plain, iv_seed)) << "length " << length;
+    auto opened = Open(key, sealed);
+    ASSERT_TRUE(opened.ok()) << "length " << length << ": " << StatusName(opened.status());
+    ASSERT_EQ(*opened, plain) << "length " << length;
+  }
+}
+
+TEST(SealTest, MatchesGoldenCiphertexts) {
+  // FNV-1a of Seal's output for fixed inputs, recorded from the block-at-a-
+  // time envelope. A mismatch means the wire format changed.
+  struct Golden {
+    uint8_t key_fill;
+    size_t length;
+    uint64_t iv_seed;
+    uint64_t hash;
+  };
+  constexpr Golden kGolden[] = {
+      {0x01, 0, 0x0000000000000000ull, 0x88a75a16f68b1672ull},
+      {0x31, 17, 0x0000000000000009ull, 0x881bc943bd27a3fbull},
+      {0x77, 255, 0x0123456789abcdefull, 0xe790e7efb93830e5ull},
+      {0xa5, 525, 0x0000000000000007ull, 0x7b863764633b6d43ull},
+      {0xfe, 65536, 0x8000000000000000ull, 0xac4f1bc682c3e801ull},
+  };
+  for (const Golden& g : kGolden) {
+    Bytes plain(g.length);
+    for (size_t i = 0; i < plain.size(); ++i) plain[i] = static_cast<uint8_t>(i * 7 + 3);
+    const Bytes sealed = Seal(TestKey(g.key_fill), plain, g.iv_seed);
+    EXPECT_EQ(content::HashBytes(sealed.data(), sealed.size()), g.hash) << "length " << g.length;
+  }
 }
 
 // --- Handshake ----------------------------------------------------------------------
