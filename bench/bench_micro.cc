@@ -4,12 +4,14 @@
 // cipher and sealed envelope, the authentication handshake, wire
 // serialization, CPS computation over deep group structures, path
 // resolution in the local file system, directory serialization, cache
-// lookups, and a full warm open through Venus. These measure the
-// implementation itself (real microseconds, not the 1985 cost model).
+// lookups, generative-content recognition, and a full warm open through
+// Venus. These measure the implementation itself (real microseconds, not
+// the 1985 cost model).
 
 #include <benchmark/benchmark.h>
 
 #include "src/campus/campus.h"
+#include "src/common/content.h"
 #include "src/crypto/cbc.h"
 #include "src/crypto/handshake.h"
 #include "src/crypto/xtea.h"
@@ -158,10 +160,16 @@ void BM_ZipfSample(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfSample);
 
+// The argument is the number of users, each with a home volume mounted
+// under /usr: every walk to /vice/usr/u/f looks one name up in /usr, so the
+// 1000-user arm shows the per-walk cost a one-user campus hides.
 void BM_VenusWarmOpen(benchmark::State& state) {
   campus::Campus campus(campus::CampusConfig::Revised(1, 1));
   (void)campus.SetupRootVolume();
   auto home = campus.AddUserWithHome("u", "pw", 0);
+  for (int64_t i = 1; i < state.range(0); ++i) {
+    (void)campus.AddUserWithHome("u" + std::to_string(i), "pw", 0);
+  }
   auto& ws = campus.workstation(0);
   (void)ws.LoginWithPassword(home->user, "pw");
   (void)ws.WriteWholeFile("/vice/usr/u/f", ToBytes("warm file"));
@@ -171,7 +179,20 @@ void BM_VenusWarmOpen(benchmark::State& state) {
     benchmark::DoNotOptimize(data);
   }
 }
-BENCHMARK(BM_VenusWarmOpen);
+BENCHMARK(BM_VenusWarmOpen)->Arg(1)->Arg(1000);
+
+// Store-back and populate canonicalize every buffer: phase-matching a 64 KB
+// generative file (the timed loop includes one 64 KB copy, as Canonicalize
+// consumes its argument).
+void BM_Canonicalize(benchmark::State& state) {
+  const Bytes data = content::Synthesize(/*phase=*/7, 0, 65536);
+  for (auto _ : state) {
+    content::Ref ref = content::Ref::Canonicalize(Bytes(data));
+    benchmark::DoNotOptimize(ref);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 65536);
+}
+BENCHMARK(BM_Canonicalize);
 
 void BM_WholeFileFetch(benchmark::State& state) {
   campus::Campus campus(campus::CampusConfig::Revised(1, 1));

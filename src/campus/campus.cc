@@ -136,12 +136,9 @@ Result<VolumeId> Campus::CreateSystemVolume(const std::string& name,
 Result<Fid> Campus::EnsureDirDirect(vice::Volume* vol, const std::string& path) {
   Fid cur = vol->root();
   for (const std::string& comp : SplitPath(path)) {
-    auto data = vol->FetchData(cur);
-    if (!data.ok()) return data.status();
-    auto entries = vice::DeserializeDirectory(*data);
-    if (!entries.ok()) return Status::kInternal;
-    auto it = entries->find(comp);
-    if (it != entries->end()) {
+    ASSIGN_OR_RETURN(const vice::Volume::Vnode* d, vol->LookupDir(cur));
+    auto it = d->entries.find(comp);
+    if (it != d->entries.end()) {
       if (it->second.kind != vice::DirItem::Kind::kDirectory) return Status::kNotDirectory;
       cur = it->second.fid;
       continue;
@@ -175,13 +172,10 @@ Status Campus::PopulateDirect(VolumeId volume, const std::string& path,
   const std::string leaf(Basename(path));
 
   // Replace existing contents if the file is already there.
-  auto dir_data = vol->FetchData(dir);
-  if (!dir_data.ok()) return dir_data.status();
-  auto entries = vice::DeserializeDirectory(*dir_data);
-  if (!entries.ok()) return Status::kInternal;
+  ASSIGN_OR_RETURN(const vice::Volume::Vnode* d, vol->LookupDir(dir));
   Fid fid;
-  auto it = entries->find(leaf);
-  if (it != entries->end()) {
+  auto it = d->entries.find(leaf);
+  if (it != d->entries.end()) {
     fid = it->second.fid;
   } else {
     ASSIGN_OR_RETURN(fid, vol->CreateFile(dir, leaf, kAnonymousUser, 0644));

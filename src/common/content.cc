@@ -26,14 +26,26 @@ const std::vector<std::vector<uint8_t>>& CandidatePhases() {
   return *table;
 }
 
+// Bytes MatchLength compares per memcmp.
+constexpr uint64_t kMatchChunk = 4096;
+
 // Length of the longest prefix of [data, data+n) matching the generative
-// stream at `phase`.
+// stream at `phase`. The stream at phase 0, one chunk plus one period long,
+// holds every phase's next chunk as a window, so the match runs a chunk at a
+// time and scans bytes only inside the chunk that differs.
 uint64_t MatchLength(const uint8_t* data, uint64_t n, uint64_t phase) {
-  uint64_t i = 0;
-  while (i < n && data[i] == static_cast<uint8_t>(kAlphabet[(i + phase) % kPeriod])) {
-    ++i;
+  static const Bytes* const stream = new Bytes(Synthesize(0, 0, kMatchChunk + kPeriod));
+  for (uint64_t i = 0; i < n;) {
+    const uint8_t* want = stream->data() + (i + phase) % kPeriod;
+    const uint64_t len = std::min(kMatchChunk, n - i);
+    if (std::memcmp(data + i, want, len) != 0) {
+      uint64_t j = 0;
+      while (data[i + j] == want[j]) ++j;
+      return i + j;
+    }
+    i += len;
   }
-  return i;
+  return n;
 }
 
 }  // namespace

@@ -81,10 +81,15 @@ class Reader {
     return v != 0;
   }
   [[nodiscard]] Result<std::string> String() {
+    ASSIGN_OR_RETURN(std::string_view s, StringView());
+    return std::string(s);
+  }
+  // The same field as String(), as a view into the buffer being read: valid
+  // only while that buffer lives, but free of any allocation.
+  [[nodiscard]] Result<std::string_view> StringView() {
     ASSIGN_OR_RETURN(uint32_t n, U32());
     if (pos_ + n > buf_.size()) return Status::kProtocolError;
-    std::string s(buf_.begin() + static_cast<ptrdiff_t>(pos_),
-                  buf_.begin() + static_cast<ptrdiff_t>(pos_ + n));
+    std::string_view s(reinterpret_cast<const char*>(buf_.data()) + pos_, n);
     pos_ += n;
     return s;
   }

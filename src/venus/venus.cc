@@ -10,7 +10,6 @@
 namespace itc::venus {
 
 using vice::DirItem;
-using vice::DirMap;
 using vice::Proc;
 using vice::VnodeStatus;
 using vice::VolumeInfo;
@@ -358,15 +357,13 @@ Result<VnodeStatus> Venus::EnsureStatus(const Fid& fid) {
   return status;
 }
 
-Result<DirMap> Venus::DirEntriesOf(const Fid& dir) {
+Result<Bytes> Venus::DirBytesOf(const Fid& dir) {
   bool hit = false;
   ASSIGN_OR_RETURN(CacheEntry * e, EnsureData(dir, &hit));
   if (e->status.type != vice::VnodeType::kDirectory) return Status::kNotDirectory;
   ASSIGN_OR_RETURN(Bytes data, cache_.ReadData(dir));
   clock_->Advance(cost_.LocalIoTime(data.size()));
-  auto entries = vice::DeserializeDirectory(data);
-  if (!entries.ok()) return Status::kInternal;
-  return entries;
+  return data;
 }
 
 void Venus::DropEvicted(const std::vector<Fid>& evicted) {
@@ -496,10 +493,12 @@ Result<Fid> Venus::WalkClient(const std::string& path, bool for_update, bool fol
       continue;
     }
 
-    ASSIGN_OR_RETURN(DirMap entries, DirEntriesOf(cur));
-    auto it = entries.find(comp);
-    if (it == entries.end()) return Status::kNotFound;
-    const DirItem item = it->second;
+    ASSIGN_OR_RETURN(Bytes dir_bytes, DirBytesOf(cur));
+    auto found = vice::LookupDirectory(dir_bytes, comp);
+    if (!found.ok()) {
+      return found.status() == Status::kNotFound ? Status::kNotFound : Status::kInternal;
+    }
+    const DirItem item = *found;
     const bool is_final = (i + 1 == components.size());
     ++i;
 
@@ -805,8 +804,10 @@ Result<VnodeStatus> Venus::Stat(const std::string& path) {
 Result<std::vector<std::pair<std::string, DirItem>>> Venus::ReadDir(const std::string& path) {
   if (!logged_in()) return Status::kAuthFailed;
   ASSIGN_OR_RETURN(Fid fid, ResolveFinal(path, /*for_update=*/false, /*follow_final=*/true));
-  ASSIGN_OR_RETURN(DirMap entries, DirEntriesOf(fid));
-  std::vector<std::pair<std::string, DirItem>> out(entries.begin(), entries.end());
+  ASSIGN_OR_RETURN(Bytes dir_bytes, DirBytesOf(fid));
+  auto entries = vice::DeserializeDirectory(dir_bytes);
+  if (!entries.ok()) return Status::kInternal;
+  std::vector<std::pair<std::string, DirItem>> out(entries->begin(), entries->end());
   return out;
 }
 

@@ -229,7 +229,9 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   [[nodiscard]] Result<CacheEntry*> EnsureData(const Fid& fid, bool* hit);
   // Ensures valid cached status for `fid`.
   [[nodiscard]] Result<vice::VnodeStatus> EnsureStatus(const Fid& fid);
-  [[nodiscard]] Result<vice::DirMap> DirEntriesOf(const Fid& dir);
+  // The cached bytes of directory `dir` (fetched or validated as above),
+  // charged as one local read: what a walk step and ReadDir interpret.
+  [[nodiscard]] Result<Bytes> DirBytesOf(const Fid& dir);
   void DropEvicted(const std::vector<Fid>& evicted);
   void InvalidateDir(const Fid& dir);
   // Stores the cached copy of `fid` to its custodian now.

@@ -741,11 +741,8 @@ Result<Bytes> ViceServer::HandleRemove(rpc::CallContext& ctx, rpc::Reader& r, bo
 
   // Identify the victim first so its callbacks can be broken.
   Fid victim = kNullFid;
-  if (auto data = vol->FetchData(*parent); data.ok()) {
-    if (auto entries = DeserializeDirectory(*data); entries.ok()) {
-      auto it = entries->find(*name);
-      if (it != entries->end()) victim = it->second.fid;
-    }
+  if (auto d = vol->LookupDir(*parent); d.ok()) {
+    if (auto it = (*d)->entries.find(*name); it != (*d)->entries.end()) victim = it->second.fid;
   }
 
   if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
@@ -791,10 +788,9 @@ Result<Bytes> ViceServer::HandleRename(rpc::CallContext& ctx, rpc::Reader& r) {
   // If the rename overwrites an existing target, that file's cached copies
   // must be invalidated just as a Remove would invalidate them.
   Fid overwritten = kNullFid;
-  if (auto dst_data = vol->FetchData(*to_dir); dst_data.ok()) {
-    if (auto entries = DeserializeDirectory(*dst_data); entries.ok()) {
-      auto it = entries->find(*to_name);
-      if (it != entries->end()) overwritten = it->second.fid;
+  if (auto d = vol->LookupDir(*to_dir); d.ok()) {
+    if (auto it = (*d)->entries.find(*to_name); it != (*d)->entries.end()) {
+      overwritten = it->second.fid;
     }
   }
 
@@ -914,14 +910,12 @@ Bytes ViceServer::HandleResolvePath(rpc::CallContext& ctx, rpc::Reader& r) {
         s != Status::kOk) {
       return StatusReply(s);
     }
-    auto dir_data = vol->FetchData(cur);
-    if (!dir_data.ok()) return StatusReply(dir_data.status());
-    auto entries = DeserializeDirectory(*dir_data);
-    if (!entries.ok()) return StatusReply(Status::kInternal);
-    auto it = entries->find(comp);
-    if (it == entries->end()) return StatusReply(Status::kNotFound);
+    auto dir = vol->LookupDir(cur);
+    if (!dir.ok()) return StatusReply(dir.status());
+    auto it = (*dir)->entries.find(comp);
+    if (it == (*dir)->entries.end()) return StatusReply(Status::kNotFound);
 
-    const DirItem& item = it->second;
+    const DirItem item = it->second;
     ++index;
     if (item.kind == DirItem::Kind::kMountPoint) {
       Volume* next = FindVolume(item.mount_volume);
@@ -1083,7 +1077,9 @@ Bytes ViceServer::HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r) {
 
 Bytes ViceServer::HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r) {
   auto n = r.U32();
-  if (!n.ok()) return StatusReply(Status::kProtocolError);
+  // A fid is 12 wire bytes: a count the request cannot hold must not size
+  // the allocation below.
+  if (!n.ok() || *n > r.remaining() / 12) return StatusReply(Status::kProtocolError);
   std::vector<Fid> fids;
   fids.reserve(*n);
   for (uint32_t i = 0; i < *n; ++i) {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "src/common/fid.h"
 #include "src/common/result.h"
@@ -62,6 +63,11 @@ using DirMap = std::map<std::string, DirItem>;
 // Directory data encoding shared by Vice (producer) and Venus (consumer).
 Bytes SerializeDirectory(const DirMap& entries);
 [[nodiscard]] Result<DirMap> DeserializeDirectory(const Bytes& data);
+// The entry `name` of serialized directory `data`, found without building
+// the map: what a pathname walk needs at each step. Validates the whole
+// buffer exactly as DeserializeDirectory does (kProtocolError), lets the
+// first of duplicate names win, and reports an absent name as kNotFound.
+[[nodiscard]] Result<DirItem> LookupDirectory(const Bytes& data, std::string_view name);
 
 // Root vnode convention: every volume's root directory is vnode 1,
 // uniquifier 1.

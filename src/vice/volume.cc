@@ -39,10 +39,15 @@ Result<Volume::Vnode*> Volume::LookupMutable(const Fid& fid) {
   return const_cast<Vnode*>(v);
 }
 
-Result<Volume::Vnode*> Volume::LookupDirMutable(const Fid& fid) {
-  ASSIGN_OR_RETURN(Vnode * v, LookupMutable(fid));
+Result<const Volume::Vnode*> Volume::LookupDir(const Fid& fid) const {
+  ASSIGN_OR_RETURN(const Vnode* v, Lookup(fid));
   if (v->status.type != VnodeType::kDirectory) return Status::kNotDirectory;
   return v;
+}
+
+Result<Volume::Vnode*> Volume::LookupDirMutable(const Fid& fid) {
+  ASSIGN_OR_RETURN(const Vnode* v, LookupDir(fid));
+  return const_cast<Vnode*>(v);
 }
 
 Fid Volume::NewFid() { return Fid{id_, next_vnode_++, next_uniquifier_++}; }

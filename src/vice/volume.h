@@ -76,6 +76,8 @@ class Volume {
   // Fails with kVolumeOffline when offline, kStaleFid when the fid's vnode
   // slot is gone or its uniquifier does not match (deleted & never reused).
   [[nodiscard]] Result<const Vnode*> Lookup(const Fid& fid) const;
+  // As Lookup, plus kNotDirectory unless the vnode is a directory.
+  [[nodiscard]] Result<const Vnode*> LookupDir(const Fid& fid) const;
 
   // --- Directory operations ---------------------------------------------------
   [[nodiscard]] Result<Fid> CreateFile(const Fid& dir, const std::string& name, UserId owner,

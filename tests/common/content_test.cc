@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <unordered_set>
 
 #include "src/common/rng.h"
@@ -115,6 +117,58 @@ TEST(ContentRef, DisabledCanonicalizationKeepsEverythingInline) {
   EXPECT_EQ(ref.Materialize(), data);
   std::unordered_set<const void*> seen;
   EXPECT_EQ(ref.RetainedBytes(&seen), data.size());
+}
+
+// Canonicalize's recognizer as it was before it matched in chunks: one byte
+// and one modulo at a time, over every candidate phase of the first byte.
+// Returns what the ref must hold: (phase, gen_len, tail bytes).
+std::tuple<uint64_t, uint64_t, Bytes> ReferenceCanonical(const Bytes& data) {
+  uint64_t best_phase = 0;
+  uint64_t best_len = 0;
+  for (uint64_t p = 0; data.size() >= kMinGenerativePrefix && p < kPeriod; ++p) {
+    if (static_cast<uint8_t>(kAlphabet[p]) != data[0]) continue;
+    uint64_t i = 0;
+    while (i < data.size() && data[i] == static_cast<uint8_t>(kAlphabet[(i + p) % kPeriod])) {
+      ++i;
+    }
+    if (i > best_len) {
+      best_len = i;
+      best_phase = p;
+    }
+  }
+  if (best_len < kMinGenerativePrefix) return {0, 0, data};
+  return {best_phase, best_len,
+          Bytes(data.begin() + static_cast<ptrdiff_t>(best_len), data.end())};
+}
+
+void ExpectCanonicalMatchesReference(const Bytes& data, const std::string& what) {
+  const Ref ref = Ref::Canonicalize(Bytes(data));
+  const Bytes tail = ref.tail() != nullptr ? *ref.tail() : Bytes{};
+  EXPECT_EQ(std::make_tuple(ref.phase(), ref.gen_len(), tail), ReferenceCanonical(data))
+      << what;
+}
+
+TEST(ContentRef, CanonicalizeAgreesWithBytewiseMatcherAcrossChunkBoundaries) {
+  // The matcher compares 4 KB chunks: cover lengths around one and two
+  // chunks, and a byte flipped just before, at and after every boundary.
+  constexpr uint64_t kChunk = 4096;
+  for (uint64_t phase = 0; phase < kPeriod; ++phase) {
+    for (uint64_t len : {57ull, 4095ull, 4096ull, 4097ull, 8191ull, 8192ull, 8193ull, 65593ull}) {
+      const Bytes clean = Synthesize(phase, 0, len);
+      ExpectCanonicalMatchesReference(clean, "phase " + std::to_string(phase) + " len " +
+                                                 std::to_string(len));
+      for (uint64_t boundary = kChunk; boundary <= len; boundary += kChunk) {
+        for (uint64_t at : {boundary - 1, boundary, boundary + 1}) {
+          if (at >= len) continue;
+          Bytes flipped = clean;
+          flipped[at] ^= 0x20;
+          ExpectCanonicalMatchesReference(flipped, "phase " + std::to_string(phase) + " len " +
+                                                       std::to_string(len) + " flip " +
+                                                       std::to_string(at));
+        }
+      }
+    }
+  }
 }
 
 TEST(ContentStore, InternDedupsIdenticalBuffers) {

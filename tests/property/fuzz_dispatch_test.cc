@@ -159,9 +159,10 @@ TEST_P(FuzzDispatchTest, RegistryEdgeCases) {
 
   // Oversized length fields: a string/bytes header promising ~4 GiB backed
   // by a handful of actual bytes. The bounds-checked reader must refuse.
-  for (uint32_t proc : {13u, 20u, 21u, 22u, 23u, 27u, 31u}) {
+  // RenewLeases (52) opens with its fid count instead: ~4G fids, none sent.
+  for (uint32_t proc : {13u, 20u, 21u, 22u, 23u, 27u, 31u, 52u}) {
     rpc::Writer w;
-    w.PutFid(Fid{home_.volume, 1, 1});
+    if (proc != 52) w.PutFid(Fid{home_.volume, 1, 1});
     w.PutU32(0xffffffff);  // length prefix with no such body
     w.PutU8(0x41);
     w.PutU8(0x41);
