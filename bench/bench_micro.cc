@@ -4,9 +4,9 @@
 // cipher and sealed envelope, the authentication handshake, wire
 // serialization, CPS computation over deep group structures, path
 // resolution in the local file system, directory serialization, cache
-// lookups, generative-content recognition, and a full warm open through
-// Venus. These measure the implementation itself (real microseconds, not
-// the 1985 cost model).
+// lookups, generative-content recognition, a full warm open through
+// Venus, and populating a home volume. These measure the implementation
+// itself (real microseconds, not the 1985 cost model).
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +18,7 @@
 #include "src/protection/protection_db.h"
 #include "src/rpc/wire.h"
 #include "src/unixfs/file_system.h"
+#include "src/workload/populate.h"
 #include "src/workload/zipf.h"
 
 namespace {
@@ -193,6 +194,21 @@ void BM_Canonicalize(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 65536);
 }
 BENCHMARK(BM_Canonicalize);
+
+// Campus set-up's populate step: PopulateUserFiles loads state.range(0)
+// files into one home volume. The first iteration creates them, later ones
+// replace them, so every iteration loads the same volume size.
+void BM_PopulateUserFiles(benchmark::State& state) {
+  campus::Campus campus(campus::CampusConfig::Revised(1, 1));
+  (void)campus.SetupRootVolume();
+  auto home = campus.AddUserWithHome("u", "pw", 0);
+  const auto count = static_cast<uint32_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(workload::PopulateUserFiles(campus, home->volume, count, 1));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * count);
+}
+BENCHMARK(BM_PopulateUserFiles)->Arg(60)->Arg(600);
 
 void BM_WholeFileFetch(benchmark::State& state) {
   campus::Campus campus(campus::CampusConfig::Revised(1, 1));

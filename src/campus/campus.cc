@@ -126,10 +126,6 @@ Result<VolumeId> Campus::CreateSystemVolume(const std::string& name,
   ITC_CHECK(root != nullptr);
   ASSIGN_OR_RETURN(Fid dir, EnsureDirDirect(root, std::string(Dirname(mount_path))));
   RETURN_IF_ERROR(registry_.MountAt(dir, std::string(Basename(mount_path)), vol));
-  // MountAt checkpoints after adding the mount point, but the directories
-  // EnsureDirDirect may have created are not covered by it when Dirname is
-  // deeper than one level; checkpoint explicitly.
-  RETURN_IF_ERROR(registry_.CheckpointVolume(root_volume_));
   return vol;
 }
 
@@ -166,8 +162,29 @@ Status Campus::PopulateDirect(VolumeId volume, const std::string& path, const By
 
 Status Campus::PopulateDirect(VolumeId volume, const std::string& path,
                               content::Ref contents) {
+  std::vector<DirectFile> files;
+  files.push_back({path, std::move(contents)});
+  return PopulateDirect(volume, std::move(files));
+}
+
+Status Campus::PopulateDirect(VolumeId volume, std::vector<DirectFile> files) {
   vice::Volume* vol = registry_.FindVolume(volume);
   if (vol == nullptr) return Status::kNotFound;
+  Status loaded = Status::kOk;
+  for (DirectFile& file : files) {
+    loaded = LoadFileDirect(vol, file.path, std::move(file.contents));
+    if (loaded != Status::kOk) break;
+  }
+  // Direct loading bypassed the file server: checkpoint the durable image
+  // once for the whole batch (including any files loaded before an error)
+  // and break any promises so already-connected clients refetch.
+  RETURN_IF_ERROR(registry_.CheckpointVolume(volume));
+  RETURN_IF_ERROR(registry_.BreakVolumeCallbacks(volume));
+  return loaded;
+}
+
+Status Campus::LoadFileDirect(vice::Volume* vol, const std::string& path,
+                              content::Ref contents) {
   ASSIGN_OR_RETURN(Fid dir, EnsureDirDirect(vol, std::string(Dirname(path))));
   const std::string leaf(Basename(path));
 
@@ -180,11 +197,7 @@ Status Campus::PopulateDirect(VolumeId volume, const std::string& path,
   } else {
     ASSIGN_OR_RETURN(fid, vol->CreateFile(dir, leaf, kAnonymousUser, 0644));
   }
-  RETURN_IF_ERROR(vol->StoreRef(fid, std::move(contents)));
-  // Direct loading bypassed the file server: re-dump the durable image and
-  // break any promises so already-connected clients refetch.
-  RETURN_IF_ERROR(registry_.CheckpointVolume(volume));
-  return registry_.BreakVolumeCallbacks(volume);
+  return vol->StoreRef(fid, std::move(contents));
 }
 
 uint64_t Campus::RetainedContentBytes() const {

@@ -90,12 +90,22 @@ class Campus {
   // --- Direct (zero-cost) population -----------------------------------------------
   // Administrative loading of files into a volume, bypassing RPC and cost
   // accounting; used to pre-populate system trees before an experiment.
-  // `path` is relative to the volume root, intermediate directories are
-  // created with the root directory's ACL.
+  // Each `path` is relative to the volume root, intermediate directories are
+  // created with the root directory's ACL, and an existing file is replaced.
+  // Contents are content refs, never materialized on the host: population
+  // of a 10k-workstation campus stays cheap because a generative ref is ~32
+  // bytes regardless of file size.
+  struct DirectFile {
+    std::string path;
+    content::Ref contents;
+  };
+  // Loads the files in order, then checkpoints the volume and breaks its
+  // callbacks once for the whole batch. A file that fails to load stops the
+  // batch and its error is returned, but only after the files loaded before
+  // it have been checkpointed and their callbacks broken.
+  [[nodiscard]] Status PopulateDirect(VolumeId volume, std::vector<DirectFile> files);
+  // One-file batches; the Bytes overload canonicalizes `data` into a ref.
   [[nodiscard]] Status PopulateDirect(VolumeId volume, const std::string& path, const Bytes& data);
-  // Lazy variant: installs a content ref without ever materializing the
-  // bytes on the host. Population of a 10k-workstation campus stays cheap
-  // because a generative ref is ~32 bytes regardless of file size.
   [[nodiscard]] Status PopulateDirect(VolumeId volume, const std::string& path,
                                       content::Ref contents);
   [[nodiscard]] Status MkDirDirect(VolumeId volume, const std::string& path);
@@ -136,6 +146,8 @@ class Campus {
 
  private:
   [[nodiscard]] Result<Fid> EnsureDirDirect(vice::Volume* vol, const std::string& path);
+  [[nodiscard]] Status LoadFileDirect(vice::Volume* vol, const std::string& path,
+                                      content::Ref contents);
 
   CampusConfig config_;
   std::unique_ptr<net::Network> network_;

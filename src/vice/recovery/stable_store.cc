@@ -5,15 +5,15 @@
 namespace itc::vice::recovery {
 
 void StableStore::CheckpointVolume(const Volume& vol) {
-  Image img;
-  img.snap = vol.Snapshot();
-  img.dump_bytes = vol.DumpSize();
-  images_[vol.id()] = std::move(img);
+  images_[vol.id()] = Image{vol.Snapshot(), std::nullopt};
 }
 
 uint64_t StableStore::image_bytes() const {
   uint64_t total = 0;
-  for (const auto& [id, img] : images_) total += img.dump_bytes;
+  for (const auto& [id, img] : images_) {
+    if (!img.dump_bytes.has_value()) img.dump_bytes = img.snap->DumpSize();
+    total += *img.dump_bytes;
+  }
   return total;
 }
 

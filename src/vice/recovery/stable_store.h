@@ -10,13 +10,16 @@
 //
 // Images are snapshots rather than Volume::Dump byte streams so that the
 // periodic checkpoint costs O(vnodes) pointer copies on the host instead of
-// re-serializing every file byte; the *simulated* checkpoint disk charge is
+// re-serializing every file byte. The *simulated* checkpoint disk charge is
 // unchanged because image_bytes() still reports exactly what the dumps
-// would have measured (Volume::DumpSize).
+// would have measured (Volume::DumpSize). An image is sized from its
+// immutable snapshot the first time image_bytes() reads it, so an image
+// overwritten before any disk charge (a volume checkpointed once per
+// populated file) is never sized at all.
 //
 // Checkpointing is the log-truncation mechanism: after every
-// `checkpoint_interval` committed intentions the server re-dumps the
-// affected volume and truncates the log, bounding both recovery time and
+// `checkpoint_interval` committed intentions the server re-checkpoints the
+// affected volumes and truncates the log, bounding both recovery time and
 // (modeled) log space.
 
 #ifndef SRC_VICE_RECOVERY_STABLE_STORE_H_
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,18 +50,21 @@ struct RecoveryReport {
   SimTime recovery_time = 0;          // virtual time spent restoring/replaying
 
   bool clean() const { return replay_failures == 0 && salvage.clean(); }
+  bool operator==(const RecoveryReport&) const = default;
 };
 
 class StableStore {
  public:
-  // Overwrites the durable image of `vol` with a fresh snapshot.
+  // Overwrites the durable image of `vol` with a fresh snapshot. The
+  // snapshot is taken now; its size waits for image_bytes().
   void CheckpointVolume(const Volume& vol);
   void EraseVolume(VolumeId id) { images_.erase(id); }
   bool HasVolume(VolumeId id) const { return images_.contains(id); }
   size_t volume_count() const { return images_.size(); }
 
-  // Total bytes the checkpoint images would occupy as Volume::Dump streams
-  // (for cost accounting/stats; identical to the pre-snapshot accounting).
+  // Total bytes the checkpoint images would occupy as Volume::Dump streams,
+  // each as of its checkpoint (for cost accounting/stats; identical to the
+  // pre-snapshot accounting). Sizes each image once, on first read.
   uint64_t image_bytes() const;
 
   // Host bytes retained for file contents in checkpoint images and logged
@@ -75,7 +82,8 @@ class StableStore {
  private:
   struct Image {
     std::unique_ptr<Volume> snap;  // copy-on-write, shares data blocks
-    uint64_t dump_bytes = 0;       // what Dump().size() would have been
+    // What snap->Dump().size() would be; filled by the first image_bytes().
+    mutable std::optional<uint64_t> dump_bytes;
   };
 
   std::map<VolumeId, Image> images_;

@@ -153,6 +153,7 @@ class Volume {
       return dangling_entries_removed == 0 && orphan_vnodes_removed == 0 &&
              parents_fixed == 0 && usage_corrected_bytes == 0;
     }
+    bool operator==(const SalvageReport&) const = default;
   };
   // Consistency check and repair after a crash: drops dangling directory
   // entries, removes unreachable vnodes, fixes parent pointers, recomputes

@@ -145,11 +145,14 @@ Result<VolumeId> VolumeRegistry::ReleaseReadOnly(VolumeId volume,
   if (vol == nullptr) return Status::kNotFound;
   if (vol->read_only()) return Status::kVolumeReadOnly;
 
+  // All or nothing (§3.2): an unknown site refuses the release before any
+  // clone is installed or a volume id is spent.
+  for (ServerId site : sites) {
+    if (ServerById(site) == nullptr) return Status::kNotFound;
+  }
   const VolumeId clone_id = next_volume_++;
   for (ServerId site : sites) {
-    ViceServer* replica_host = ServerById(site);
-    if (replica_host == nullptr) return Status::kNotFound;
-    replica_host->InstallVolume(vol->Clone(clone_id, clone_name));
+    ServerById(site)->InstallVolume(vol->Clone(clone_id, clone_name));
   }
 
   VolumeInfo clone_info;

@@ -73,7 +73,8 @@ class VolumeRegistry {
   // location entry at the new clone. Subsequent releases supersede earlier
   // clones in the location map (old clones remain as frozen versions at
   // their sites — "multiple coexisting versions of a subsystem are
-  // represented by their respective read-only subtrees").
+  // represented by their respective read-only subtrees"). An unknown site
+  // fails the release with kNotFound before anything is installed.
   [[nodiscard]] Result<VolumeId> ReleaseReadOnly(VolumeId volume, const std::string& clone_name,
                                    const std::vector<ServerId>& sites);
 

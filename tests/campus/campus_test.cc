@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "src/vice/protocol.h"
 
 namespace itc {
@@ -79,6 +83,106 @@ TEST(CampusTest, PopulateDirectCreatesNestedPaths) {
             Status::kOk);
   ws.venus().FlushCache();
   EXPECT_EQ(ToString(*ws.ReadWholeFile("/vice/usr/deep/a/b/c/file")), "v2");
+}
+
+// A campus of two servers with one home volume, "u", at server 0.
+std::unique_ptr<Campus> MakeCampusWithHome(Campus::UserHome* home) {
+  auto campus = std::make_unique<Campus>(CampusConfig::Revised(2, 1));
+  EXPECT_TRUE(campus->SetupRootVolume().ok());
+  auto h = campus->AddUserWithHome("u", "pw", /*custodian=*/0);
+  EXPECT_TRUE(h.ok());
+  *home = *h;
+  return campus;
+}
+
+// A nested path, an empty file, and a file replaced later in the batch.
+std::vector<Campus::DirectFile> SampleFiles() {
+  std::vector<Campus::DirectFile> files;
+  files.push_back({"/a", content::Ref::ForSeed(1, 3000)});
+  files.push_back({"/d/e/nested", content::Ref::ForSeed(2, 5000)});
+  files.push_back({"/empty", content::Ref()});
+  files.push_back({"/a", content::Ref::ForSeed(3, 700)});
+  return files;
+}
+
+TEST(CampusTest, PopulateBatchMatchesOneFileAtATime) {
+  Campus::UserHome home1, home2;
+  auto one_by_one = MakeCampusWithHome(&home1);
+  auto batched = MakeCampusWithHome(&home2);
+  for (Campus::DirectFile& file : SampleFiles()) {
+    ASSERT_EQ(one_by_one->PopulateDirect(home1.volume, file.path, std::move(file.contents)),
+              Status::kOk);
+  }
+  ASSERT_EQ(batched->PopulateDirect(home2.volume, SampleFiles()), Status::kOk);
+  for (size_t s = 0; s < batched->server_count(); ++s) {
+    EXPECT_EQ(batched->server(s).stable_store().image_bytes(),
+              one_by_one->server(s).stable_store().image_bytes());
+  }
+
+  one_by_one->CrashServer(0);
+  batched->CrashServer(0);
+  const auto report = batched->RestartServer(0, 0);
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report, one_by_one->RestartServer(0, 0));
+
+  ASSERT_EQ(one_by_one->workstation(0).LoginWithPassword(home1.user, "pw"), Status::kOk);
+  ASSERT_EQ(batched->workstation(0).LoginWithPassword(home2.user, "pw"), Status::kOk);
+  const std::pair<const char*, content::Ref> expected[] = {
+      {"/vice/usr/u/a", content::Ref::ForSeed(3, 700)},
+      {"/vice/usr/u/d/e/nested", content::Ref::ForSeed(2, 5000)},
+      {"/vice/usr/u/empty", content::Ref()},
+  };
+  for (const auto& [path, contents] : expected) {
+    auto got = batched->workstation(0).ReadWholeFile(path);
+    ASSERT_TRUE(got.ok()) << path;
+    EXPECT_EQ(*got, contents.Materialize()) << path;
+    auto reference = one_by_one->workstation(0).ReadWholeFile(path);
+    ASSERT_TRUE(reference.ok()) << path;
+    EXPECT_EQ(*reference, *got) << path;
+  }
+}
+
+TEST(CampusTest, PopulateBatchErrorKeepsFilesLoadedBeforeIt) {
+  Campus::UserHome home;
+  auto campus = MakeCampusWithHome(&home);
+  std::vector<Campus::DirectFile> files;
+  files.push_back({"/f0", content::Ref::ForSeed(1, 100)});
+  files.push_back({"/f1", content::Ref::ForSeed(2, 200)});
+  files.push_back({"/f0/x", content::Ref::ForSeed(3, 300)});  // runs through a file
+  files.push_back({"/f3", content::Ref::ForSeed(4, 400)});
+  EXPECT_EQ(campus->PopulateDirect(home.volume, std::move(files)), Status::kNotDirectory);
+
+  // The batch checkpointed what it loaded before the error.
+  campus->CrashServer(0);
+  EXPECT_TRUE(campus->RestartServer(0, 0).clean());
+  auto& ws = campus->workstation(0);
+  ASSERT_EQ(ws.LoginWithPassword(home.user, "pw"), Status::kOk);
+  auto f0 = ws.ReadWholeFile("/vice/usr/u/f0");
+  auto f1 = ws.ReadWholeFile("/vice/usr/u/f1");
+  ASSERT_TRUE(f0.ok() && f1.ok());
+  EXPECT_EQ(*f0, content::Ref::ForSeed(1, 100).Materialize());
+  EXPECT_EQ(*f1, content::Ref::ForSeed(2, 200).Materialize());
+  EXPECT_EQ(ws.ReadWholeFile("/vice/usr/u/f3").status(), Status::kNotFound);
+}
+
+// The directories a deep mount path creates in the root volume are durable:
+// MountAt checkpoints the root volume after they exist.
+TEST(CampusTest, DeepSystemMountSurvivesCustodianRestart) {
+  Campus campus(CampusConfig::Revised(1, 2));
+  ASSERT_TRUE(campus.SetupRootVolume().ok());
+  auto home = campus.AddUserWithHome("r", "pw", 0);
+  ASSERT_TRUE(home.ok());
+  auto sys = campus.CreateSystemVolume("sys.deep", "/a/b/sys", 0);
+  ASSERT_TRUE(sys.ok());
+  ASSERT_EQ(campus.PopulateDirect(*sys, "/bin/cc", ToBytes("cc v1")), Status::kOk);
+
+  campus.CrashServer(0);
+  EXPECT_TRUE(campus.RestartServer(0, 0).clean());
+  auto& fresh = campus.workstation(1);
+  ASSERT_EQ(fresh.LoginWithPassword(home->user, "pw"), Status::kOk);
+  auto data = fresh.ReadWholeFile("/vice/a/b/sys/bin/cc");
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(ToString(*data), "cc v1");
 }
 
 TEST(CampusTest, HistogramAggregatesAcrossServers) {

@@ -69,6 +69,31 @@ TEST(IntentionLogTest, ApplyIntentionReplaysAStore) {
   EXPECT_EQ((*vol.Lookup(f))->status.mtime, 99);
 }
 
+// --- StableStore in isolation -------------------------------------------------
+
+// An image is the volume as of its checkpoint, sized on first read: changes
+// to the live volume after the checkpoint must not reach image_bytes().
+TEST(StableStoreTest, ImageIsSizedAsOfItsCheckpoint) {
+  AccessList acl;
+  acl.SetPositive(Principal::Group(protection::kAnyUserGroup), protection::kAllRights);
+  Volume vol(7, "v", VolumeType::kReadWrite, kAnonymousUser, acl, 0);
+  Fid f = *vol.CreateFile(vol.root(), "f", kAnonymousUser, 0644);
+  ASSERT_EQ(vol.StoreData(f, ToBytes("small")), Status::kOk);
+
+  recovery::StableStore store;
+  store.CheckpointVolume(vol);
+  const uint64_t checkpointed = vol.Dump().size();
+
+  ASSERT_TRUE(vol.CreateFile(vol.root(), "g", kAnonymousUser, 0644).ok());
+  ASSERT_EQ(vol.StoreData(f, ToBytes("grown well past its checkpointed size")), Status::kOk);
+  ASSERT_NE(vol.Dump().size(), checkpointed);
+  EXPECT_EQ(store.image_bytes(), checkpointed);
+  EXPECT_EQ(store.image_bytes(), checkpointed);
+
+  store.CheckpointVolume(vol);
+  EXPECT_EQ(store.image_bytes(), vol.Dump().size());
+}
+
 // --- Server-level crash/restart ----------------------------------------------
 
 class RecoveryTest : public ::testing::Test {

@@ -130,6 +130,25 @@ TEST_F(RegistryTest, SecondReleaseSupersedesFirst) {
             "v2");
 }
 
+TEST_F(RegistryTest, ReleaseToAnUnknownSiteChangesNothing) {
+  auto vid = *registry_.CreateVolume("sys3", 0, 1, acl_, 0);
+  std::vector<size_t> volumes, images;
+  for (const auto& s : servers_) {
+    volumes.push_back(s->volume_count());
+    images.push_back(s->stable_store().volume_count());
+  }
+
+  EXPECT_EQ(registry_.ReleaseReadOnly(vid, "sys3.ro", {0, 99}).status(), Status::kNotFound);
+  // No orphan clone at site 0, in memory or in its checkpoint images.
+  for (size_t i = 0; i < servers_.size(); ++i) {
+    EXPECT_EQ(servers_[i]->volume_count(), volumes[i]);
+    EXPECT_EQ(servers_[i]->stable_store().volume_count(), images[i]);
+  }
+  EXPECT_EQ(servers_[0]->location()->Find(vid)->ro_clone, kInvalidVolume);
+  // The refused release spent no volume id.
+  EXPECT_EQ(*registry_.CreateVolume("next", 0, 1, acl_, 0), vid + 1);
+}
+
 TEST_F(RegistryTest, RootVolumeTracked) {
   auto vid = *registry_.CreateVolume("root", 0, 1, acl_, 0);
   ASSERT_EQ(registry_.SetRootVolume(vid), Status::kOk);
