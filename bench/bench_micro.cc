@@ -210,8 +210,13 @@ void BM_PopulateUserFiles(benchmark::State& state) {
 }
 BENCHMARK(BM_PopulateUserFiles)->Arg(60)->Arg(600);
 
+// Cold fetch of one file of state.range(0) bytes. state.range(1) seals the
+// connection: sealed, the file is materialized into the encrypted reply;
+// unsealed, the server's ref travels beside the reply into the cache.
 void BM_WholeFileFetch(benchmark::State& state) {
-  campus::Campus campus(campus::CampusConfig::Revised(1, 1));
+  campus::CampusConfig config = campus::CampusConfig::Revised(1, 1);
+  config.rpc.encrypt = state.range(1) != 0;
+  campus::Campus campus(config);
   (void)campus.SetupRootVolume();
   auto home = campus.AddUserWithHome("u", "pw", 0);
   (void)campus.PopulateDirect(home->volume, "/f",
@@ -225,7 +230,9 @@ void BM_WholeFileFetch(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
-BENCHMARK(BM_WholeFileFetch)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_WholeFileFetch)
+    ->ArgNames({"bytes", "sealed"})
+    ->ArgsProduct({{4096, 65536, 1 << 20}, {1, 0}});
 
 }  // namespace
 

@@ -249,7 +249,7 @@ Result<std::vector<std::string>> RemoteOpenClient::ReadDir(const std::string& pa
   ASSIGN_OR_RETURN(Bytes reply, Call(Proc::kReadDir, w.Take()));
   rpc::Reader r(reply);
   RETURN_IF_ERROR(rpc::ExpectOk(r));
-  ASSIGN_OR_RETURN(uint32_t count, r.U32());
+  ASSIGN_OR_RETURN(uint32_t count, r.Count(rpc::kStringMinWireBytes));
   std::vector<std::string> names;
   names.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {

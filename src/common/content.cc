@@ -135,6 +135,11 @@ Ref Ref::Canonicalize(Bytes bytes) {
 
 Bytes Ref::Materialize() const { return Slice(0, size()); }
 
+std::shared_ptr<const Bytes> Ref::Buffer() const {
+  if (gen_len_ == 0 && tail_ != nullptr) return tail_;
+  return std::make_shared<const Bytes>(Materialize());
+}
+
 Bytes Ref::Slice(uint64_t offset, uint64_t n) const {
   const uint64_t total = size();
   if (offset >= total) return Bytes{};

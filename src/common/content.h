@@ -18,13 +18,15 @@
 //
 // The representation is invisible to the simulation: RPC payloads, disk
 // charges, quota, and dump images are all accounted at the *logical* byte
-// size, and any code that needs real bytes (the wire, user reads)
-// materializes transiently. Canonicalize() recognizes generative bytes by
-// phase-matching the alphabet, so contents that round-trip through the wire
-// (fetch -> cache -> store-back) collapse back to a ref at every at-rest
-// layer. Every byte served is bit-identical to the materialized
-// representation — pinned by tests/property/content_property_test.cc, which
-// runs whole campus days with canonicalization forced off and compares.
+// size. A fetched file travels from the server's volume to the Venus cache
+// as the ref itself (rpc::Bulk); only code that needs real bytes — a sealed
+// connection's envelope, user reads — materializes, transiently.
+// Canonicalize() recognizes generative bytes by phase-matching the
+// alphabet, so contents that do cross as bytes (sealed fetches, stores)
+// collapse back to a ref at every at-rest layer. Every byte served is
+// bit-identical to the materialized representation — pinned by
+// tests/property/content_property_test.cc, which runs whole campus days
+// with canonicalization forced off and compares.
 
 #ifndef SRC_COMMON_CONTENT_H_
 #define SRC_COMMON_CONTENT_H_
@@ -98,6 +100,9 @@ class Ref {
 
   // The full contents as literal bytes (a fresh buffer).
   Bytes Materialize() const;
+  // The full contents as one immutable buffer: the shared tail itself when
+  // there is no generative prefix (no copy), else a fresh materialization.
+  std::shared_ptr<const Bytes> Buffer() const;
   // Bytes [offset, offset+n), clamped to size().
   Bytes Slice(uint64_t offset, uint64_t n) const;
 

@@ -63,7 +63,8 @@ Result<Bytes> ServerTracingInterceptor::Intercept(ServerCallInfo& info,
     stats_->Record(info.opcode, info.op != nullptr ? info.op->name : "unknown",
                    info.op != nullptr ? info.op->call_class : CallClass::kOther,
                    completion - arrival, request.size(),
-                   result.ok() ? result.value().size() : 0, OutcomeOf(info, result));
+                   result.ok() ? result.value().size() + BulkSize(info.bulk) : 0,
+                   OutcomeOf(info, result));
   }
   return result;
 }
@@ -139,10 +140,11 @@ Result<Bytes> ClientTracingInterceptor::Intercept(ClientCallInfo& info,
   Result<Bytes> result = next(request);
   if (stats_ != nullptr) {
     const SimTime end = info.clock != nullptr ? info.clock->now() : start;
+    const uint64_t bulk_bytes = info.bulk != nullptr ? BulkSize(*info.bulk) : 0;
     stats_->Record(info.opcode, info.op != nullptr ? info.op->name : "unknown",
                    info.op != nullptr ? info.op->call_class : CallClass::kOther,
                    end - start, request.size(),
-                   result.ok() ? result.value().size() : 0,
+                   result.ok() ? result.value().size() + bulk_bytes : 0,
                    ClientOutcomeOf(info, result));
   }
   return result;

@@ -56,7 +56,7 @@ enum class CrashPoint : uint8_t {
 // outside the registered schema (including the legacy Service path).
 // `arrival` may be pushed later by a delay-injecting interceptor; the
 // terminal stage serves CPU/disk from it and stores the reply-departure time
-// through `completion`.
+// through `completion`, and the reply's bulk field, if any, in `bulk`.
 struct ServerCallInfo {
   const OpSpec* op = nullptr;
   uint32_t opcode = 0;
@@ -64,6 +64,7 @@ struct ServerCallInfo {
   NodeId client_node = kInvalidNode;
   SimTime arrival = 0;
   SimTime* completion = nullptr;
+  std::optional<Bulk> bulk;
 };
 
 class ServerInterceptor {
@@ -175,6 +176,9 @@ struct ClientCallInfo {
   sim::Clock* clock = nullptr;
   Transport transport = Transport::kDatagram;
   uint32_t attempts = 1;  // total send attempts (retries bump it)
+  // The caller's slot for the reply's bulk field (null: the reply arrives
+  // inline); filled by the terminal stage of a successful attempt.
+  std::optional<Bulk>* bulk = nullptr;
 };
 
 class ClientInterceptor {

@@ -98,7 +98,7 @@ size_t ServerEndpoint::ConnectionCountFrom(NodeId client_node) const {
 
 Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
                                          const Bytes& sealed_request, SimTime arrival,
-                                         SimTime* completion) {
+                                         SimTime* completion, std::optional<Bulk>* bulk) {
   *completion = arrival;
   if (!online_ || fault_->fail_all()) return Status::kUnavailable;
   auto conn_it = connections_.find(conn_id);
@@ -157,9 +157,10 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
                                    : service_->Dispatch(ctx, proc, b);
     if (!dispatched.ok()) return dispatched;
     Bytes reply = std::move(dispatched).value();
+    info.bulk = ctx.TakeBulk();
 
     SimTime reply_cpu = ctx.cpu_demand();
-    if (config_.encrypt) reply_cpu += cost_.CryptoCpu(reply.size());
+    if (config_.encrypt) reply_cpu += cost_.CryptoCpu(reply.size() + BulkSize(info.bulk));
     t = sim::Charge(cpu_, t, reply_cpu);
     if (ctx.disk_ops() > 0 || ctx.disk_time() > 0) {
       const SimTime disk_demand =
@@ -181,7 +182,16 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
 
   ASSIGN_OR_RETURN(Bytes reply, chain_->Run(info, body, terminal));
 
-  stats_.reply_bytes += reply.size();
+  stats_.reply_bytes += reply.size() + BulkSize(info.bulk);
+  if (info.bulk.has_value()) {
+    // The one splice path: a sealed envelope covers every byte, and a
+    // caller without a slot reads the inline layout.
+    if (config_.encrypt || bulk == nullptr) {
+      reply = Splice(reply, *info.bulk);
+    } else {
+      *bulk = std::move(info.bulk);
+    }
+  }
   if (config_.encrypt) {
     conn.seq += 1;
     return crypto::Seal(conn.secret.session_key, reply, conn.seq * 2 + 1);
@@ -301,18 +311,25 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
       options));
 }
 
-Result<Bytes> ClientConnection::Call(uint32_t proc, const Bytes& request) {
+Result<Bytes> ClientConnection::Call(uint32_t proc, const Bytes& request,
+                                     std::optional<Bulk>* bulk) {
   ClientCallInfo info;
   info.op = options_.schema != nullptr ? options_.schema->Find(proc) : nullptr;
   info.opcode = proc;
   info.server_node = server_->node();
   info.clock = clock_;
   info.transport = config_.transport;
-  return chain_->Run(info, request,
-                     [this, proc](const Bytes& req) { return SendOnce(proc, req); });
+  info.bulk = bulk;
+  return chain_->Run(info, request, [this, proc, bulk](const Bytes& req) {
+    return SendOnce(proc, req, bulk);
+  });
 }
 
-Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
+Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request,
+                                         std::optional<Bulk>* bulk) {
+  // Every attempt starts empty, so the slot only ever holds the bulk of the
+  // attempt that returned.
+  if (bulk != nullptr) bulk->reset();
   HomeShardGuard home_guard(network_, client_node_, clock_);
   const SimTime stream_penalty =
       config_.transport == Transport::kStream ? cost_.stream_transport_overhead : 0;
@@ -346,7 +363,9 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
       network_->Transfer(client_node_, server_->node_, WireSize(sealed), t) + stream_penalty;
 
   SimTime completion = arrival;
-  auto sealed_reply = server_->HandleCall(conn_id_, client_node_, sealed, arrival, &completion);
+  std::optional<Bulk> side;
+  auto sealed_reply = server_->HandleCall(conn_id_, client_node_, sealed, arrival, &completion,
+                                          bulk != nullptr ? &side : nullptr);
   if (!sealed_reply.ok()) {
     clock_->AdvanceTo(completion);
     return sealed_reply.status();
@@ -360,8 +379,9 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
     clock_->AdvanceTo(t + cost_.rpc_timeout);
     return Status::kUnavailable;
   }
-  SimTime t2 = network_->Transfer(server_->node_, client_node_, WireSize(*sealed_reply),
-                                  completion) +
+  // The bulk shares the reply's transfer: the wire carries the inline layout.
+  SimTime t2 = network_->Transfer(server_->node_, client_node_,
+                                  WireSize(*sealed_reply) + BulkSize(side), completion) +
                stream_penalty;
   t2 += cost_.client_cpu_per_rpc;
 
@@ -376,6 +396,7 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
     clock_->AdvanceTo(t2);
     reply = std::move(*sealed_reply);
   }
+  if (bulk != nullptr) *bulk = std::move(side);
   return reply;
 }
 

@@ -12,8 +12,12 @@
 //     sharing global state, paying only an LWP dispatch.
 //   * Security (Section 3.4). Connection establishment runs the mutual
 //     authentication handshake of src/crypto; afterwards every request and
-//     reply is sealed under the per-session key. Whole-file transfer rides
-//     the same sealed messages ("generalized side-effects").
+//     reply is sealed under the per-session key.
+//   * Whole-file transfer is a side effect of the call ("generalized
+//     side-effects"): a reply's file contents travel as a Bulk beside its
+//     control bytes. Only a sealed connection, or a caller that does not
+//     take the bulk, materializes them into the reply; every size the
+//     network and the stats see is that of the inline layout either way.
 //
 // Functionally everything is synchronous and in-process; timing flows
 // through src/net (LAN segments) and the server's CPU/disk resources, so
@@ -28,6 +32,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/result.h"
 #include "src/common/types.h"
@@ -35,6 +40,7 @@
 #include "src/crypto/key.h"
 #include "src/net/network.h"
 #include "src/rpc/call_stats.h"
+#include "src/rpc/wire.h"
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/resource.h"
@@ -115,6 +121,10 @@ class CallContext {
   void DelayCompletionUntil(SimTime t) {
     if (t > completion_floor_) completion_floor_ = t;
   }
+  // The reply's bulk field (Writer::PutBulk), which the endpoint passes
+  // beside the reply or splices into it.
+  void set_bulk(Bulk bulk) { bulk_ = std::move(bulk); }
+  std::optional<Bulk> TakeBulk() { return std::exchange(bulk_, std::nullopt); }
 
   SimTime cpu_demand() const { return cpu_demand_; }
   uint32_t disk_ops() const { return disk_ops_; }
@@ -131,6 +141,7 @@ class CallContext {
   uint64_t disk_bytes_ = 0;
   SimTime disk_time_ = 0;
   SimTime completion_floor_ = 0;
+  std::optional<Bulk> bulk_;
 };
 
 // A service implementation (the Vice file server, the protection server,
@@ -211,9 +222,12 @@ class ServerEndpoint {
 
   // Processes one sealed call on connection `conn_id`, arriving at
   // `arrival`; returns the sealed reply and sets `*completion` to the time
-  // the reply leaves the server.
+  // the reply leaves the server. A reply's bulk field lands in `*bulk` when
+  // the caller passes a slot and the connection is unsealed; otherwise it is
+  // spliced into the returned bytes.
   [[nodiscard]] Result<Bytes> HandleCall(uint64_t conn_id, NodeId client_node, const Bytes& sealed_request,
-                           SimTime arrival, SimTime* completion);
+                           SimTime arrival, SimTime* completion,
+                           std::optional<Bulk>* bulk = nullptr);
 
   // Called from the client connection's destructor, i.e. potentially from
   // the client's shard. Known cross-shard touch under kSharded: a mid-run
@@ -276,8 +290,11 @@ class ClientConnection {
   // Performs one RPC through the client interceptor chain (tracing, retry,
   // deadline): seals `request`, ships it to the server, runs the service,
   // ships the reply back, advancing the client clock to the moment the reply
-  // has been decrypted.
-  [[nodiscard]] Result<Bytes> Call(uint32_t proc, const Bytes& request);
+  // has been decrypted. With a `bulk` slot the reply's bulk field may arrive
+  // there instead of inline; read it with Reader::RefField when the call
+  // succeeds. Every attempt starts by clearing the slot.
+  [[nodiscard]] Result<Bytes> Call(uint32_t proc, const Bytes& request,
+                                   std::optional<Bulk>* bulk = nullptr);
 
   UserId user() const { return user_; }
   NodeId server_node() const { return server_->node(); }
@@ -290,7 +307,8 @@ class ClientConnection {
                    ClientOptions options);
 
   // One wire attempt: frame, seal, ship, await, unseal.
-  [[nodiscard]] Result<Bytes> SendOnce(uint32_t proc, const Bytes& request);
+  [[nodiscard]] Result<Bytes> SendOnce(uint32_t proc, const Bytes& request,
+                                       std::optional<Bulk>* bulk);
 
   NodeId client_node_;
   UserId user_;

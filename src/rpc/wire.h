@@ -5,19 +5,55 @@
 // Reader is bounds-checked and returns kProtocolError on malformed input
 // (which, combined with the encrypted envelope's integrity check, means a
 // tampered or truncated message can never be misinterpreted).
+//
+// One byte-string field of a reply may travel as a Bulk: the field's
+// contents as a content::Ref beside the control bytes, which hold only its
+// length. Splice() rebuilds the inline layout, so the bytes a message
+// denotes never depend on how the field travelled.
 
 #ifndef SRC_RPC_WIRE_H_
 #define SRC_RPC_WIRE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
+#include "src/common/content.h"
 #include "src/common/fid.h"
 #include "src/common/result.h"
 #include "src/common/types.h"
 
 namespace itc::rpc {
+
+// Wire sizes of the items a count can precede, for Reader::Count.
+inline constexpr size_t kFidWireBytes = 12;        // PutFid
+inline constexpr size_t kStringMinWireBytes = 4;   // PutString: the length alone
+
+// A byte-string field carried beside a reply's control bytes (§3.5.3: a
+// whole file moves as a side effect of the call). The control bytes hold
+// the field's 4-byte length; `offset` is where its contents would follow.
+struct Bulk {
+  content::Ref data;
+  size_t offset = 0;
+};
+
+inline uint64_t BulkSize(const std::optional<Bulk>& bulk) {
+  return bulk.has_value() ? bulk->data.size() : 0;
+}
+
+// The inline layout of `control` with `bulk`'s contents at their offset.
+inline Bytes Splice(const Bytes& control, const Bulk& bulk) {
+  const Bytes data = bulk.data.Materialize();
+  const auto at = control.begin() + static_cast<ptrdiff_t>(bulk.offset);
+  Bytes out;
+  out.reserve(control.size() + data.size());
+  out.insert(out.end(), control.begin(), at);
+  out.insert(out.end(), data.begin(), data.end());
+  out.insert(out.end(), at, control.end());
+  return out;
+}
 
 class Writer {
  public:
@@ -44,6 +80,12 @@ class Writer {
     PutU32(f.uniquifier);
   }
   void PutStatus(Status s) { PutU32(static_cast<uint32_t>(s)); }
+  // Writes the length of a byte-string field whose contents travel as the
+  // returned Bulk instead of inline.
+  [[nodiscard]] Bulk PutBulk(content::Ref data) {
+    PutU32(static_cast<uint32_t>(data.size()));
+    return Bulk{std::move(data), buf_.size()};
+  }
 
   Bytes Take() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
@@ -100,6 +142,26 @@ class Reader {
             buf_.begin() + static_cast<ptrdiff_t>(pos_ + n));
     pos_ += n;
     return b;
+  }
+  // Reads a byte-string field that may have travelled as `bulk`: the bulk's
+  // contents when it belongs at this field, else the inline bytes as a
+  // canonical ref. Either way the result denotes the same bytes.
+  [[nodiscard]] Result<content::Ref> RefField(const std::optional<Bulk>& bulk) {
+    if (!bulk.has_value()) {
+      ASSIGN_OR_RETURN(Bytes inline_bytes, BytesField());
+      return content::Ref::Canonicalize(std::move(inline_bytes));
+    }
+    ASSIGN_OR_RETURN(uint32_t n, U32());
+    if (bulk->offset != pos_ || bulk->data.size() != n) return Status::kProtocolError;
+    return bulk->data;
+  }
+  // Reads the count of the items that follow, each at least
+  // `min_item_bytes` on the wire; kProtocolError when the remaining bytes
+  // cannot hold that many, so a hostile count never sizes an allocation.
+  [[nodiscard]] Result<uint32_t> Count(size_t min_item_bytes) {
+    ASSIGN_OR_RETURN(uint32_t n, U32());
+    if (n > remaining() / min_item_bytes) return Status::kProtocolError;
+    return n;
   }
   [[nodiscard]] Result<Fid> FidField() {
     Fid f;

@@ -315,7 +315,18 @@ Result<Bytes> FileSystem::ReadFile(std::string_view path) const {
   return ReadFileByInode(n);
 }
 
+Result<content::Ref> FileSystem::ReadFileRef(std::string_view path) const {
+  ASSIGN_OR_RETURN(InodeNum n, Resolve(path));
+  return ReadRefByInode(n);
+}
+
 Status FileSystem::WriteFile(std::string_view path, const Bytes& data) {
+  // Canonicalizing on every write keeps cached copies of synthetic files
+  // lazy: bytes collapse back to a ref the moment they come to rest.
+  return WriteFileRef(path, content::Ref::Canonicalize(data));
+}
+
+Status FileSystem::WriteFileRef(std::string_view path, content::Ref data) {
   auto resolved = Resolve(path);
   InodeNum n;
   if (resolved.ok()) {
@@ -329,13 +340,13 @@ Status FileSystem::WriteFile(std::string_view path, const Bytes& data) {
       if (target.empty() || target.front() != '/') {
         target = PathConcat(Dirname(path), target);
       }
-      return WriteFile(target, data);
+      return WriteFileRef(target, std::move(data));
     }
     ASSIGN_OR_RETURN(n, Create(path));
   } else {
     return resolved.status();
   }
-  return WriteFileByInode(n, data);
+  return WriteFileByInode(n, std::move(data));
 }
 
 Status FileSystem::Chmod(std::string_view path, Mode mode) {
@@ -363,14 +374,19 @@ Result<StatInfo> FileSystem::StatInode(InodeNum inode) const {
 }
 
 Result<Bytes> FileSystem::ReadFileByInode(InodeNum inode) const {
+  ASSIGN_OR_RETURN(content::Ref data, ReadRefByInode(inode));
+  return data.Materialize();
+}
+
+Result<content::Ref> FileSystem::ReadRefByInode(InodeNum inode) const {
   auto it = inodes_.find(inode);
   if (it == inodes_.end()) return Status::kNotFound;
   if (it->second.type == FileType::kDirectory) return Status::kIsDirectory;
   if (it->second.type == FileType::kSymlink) return Status::kInvalidArgument;
-  return it->second.data.Materialize();
+  return it->second.data;
 }
 
-Status FileSystem::WriteFileByInode(InodeNum inode, const Bytes& data) {
+Status FileSystem::WriteFileByInode(InodeNum inode, content::Ref data) {
   auto it = inodes_.find(inode);
   if (it == inodes_.end()) return Status::kNotFound;
   Inode& node = it->second;
@@ -378,9 +394,7 @@ Status FileSystem::WriteFileByInode(InodeNum inode, const Bytes& data) {
   if (node.type == FileType::kSymlink) return Status::kInvalidArgument;
   if (data.size() > kMaxFileSize) return Status::kFileTooLarge;
   total_data_bytes_ -= node.data.size();
-  // Canonicalizing on every write keeps cached copies of synthetic files
-  // lazy: fetched bytes collapse back to a ref the moment they come to rest.
-  node.data = content::Ref::Canonicalize(data);
+  node.data = std::move(data);
   total_data_bytes_ += node.data.size();
   node.mtime = now_;
   return Status::kOk;

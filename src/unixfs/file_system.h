@@ -103,8 +103,14 @@ class FileSystem {
 
   // Whole-file convenience I/O (the granularity Vice and Venus move data at).
   [[nodiscard]] Result<Bytes> ReadFile(std::string_view path) const;
-  // Creates the file if absent; truncates and replaces contents.
+  // The same contents as the stored ref, without materializing them.
+  [[nodiscard]] Result<content::Ref> ReadFileRef(std::string_view path) const;
+  // Creates the file if absent; truncates and replaces contents. The bytes
+  // are canonicalized and stored through WriteFileRef.
   [[nodiscard]] Status WriteFile(std::string_view path, const Bytes& data);
+  // As WriteFile, storing `data` as it is (a fetched ref comes to rest
+  // without a copy).
+  [[nodiscard]] Status WriteFileRef(std::string_view path, content::Ref data);
 
   [[nodiscard]] Status Chmod(std::string_view path, Mode mode);
   [[nodiscard]] Status Chown(std::string_view path, UserId owner);
@@ -119,7 +125,7 @@ class FileSystem {
 
   [[nodiscard]] Result<StatInfo> StatInode(InodeNum inode) const;
   [[nodiscard]] Result<Bytes> ReadFileByInode(InodeNum inode) const;
-  [[nodiscard]] Status WriteFileByInode(InodeNum inode, const Bytes& data);
+  [[nodiscard]] Status WriteFileByInode(InodeNum inode, content::Ref data);
   // Byte-range access (used by the remote-open baseline, Section 6).
   [[nodiscard]] Result<Bytes> ReadAt(InodeNum inode, uint64_t offset, uint64_t length) const;
   [[nodiscard]] Status WriteAt(InodeNum inode, uint64_t offset, const Bytes& data);
@@ -159,6 +165,7 @@ class FileSystem {
                                    int depth) const;
   // Resolves all but the last component; fails if the path names the root.
   [[nodiscard]] Result<ParentRef> ResolveParent(std::string_view path) const;
+  [[nodiscard]] Result<content::Ref> ReadRefByInode(InodeNum inode) const;
 
   Inode& Node(InodeNum n) { return inodes_.at(n); }
   const Inode& Node(InodeNum n) const { return inodes_.at(n); }

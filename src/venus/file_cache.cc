@@ -36,7 +36,7 @@ CacheEntry& FileCache::PutStatus(const Fid& fid, const vice::VnodeStatus& status
 }
 
 CacheEntry& FileCache::InstallData(const Fid& fid, const vice::VnodeStatus& status,
-                                   const Bytes& data) {
+                                   content::Ref data) {
   CacheEntry& e = entries_[fid];
   if (!e.has_data) data_entries_ += 1;
   data_bytes_ -= e.accounted_bytes;
@@ -46,8 +46,8 @@ CacheEntry& FileCache::InstallData(const Fid& fid, const vice::VnodeStatus& stat
   // A fetch replaces the local copy wholesale; any (erroneously surviving)
   // dirty mark would make FlushDirty re-store the server's own bytes.
   e.dirty = false;
-  ITC_CHECK(local_fs_->WriteFile(PathFor(fid), data) == Status::kOk);
   e.accounted_bytes = data.size();
+  ITC_CHECK(local_fs_->WriteFileRef(PathFor(fid), std::move(data)) == Status::kOk);
   data_bytes_ += e.accounted_bytes;
   stats_.insertions += 1;
   return e;
@@ -57,6 +57,12 @@ Result<Bytes> FileCache::ReadData(const Fid& fid) const {
   const CacheEntry* e = Find(fid);
   if (e == nullptr || !e->has_data) return Status::kNotFound;
   return local_fs_->ReadFile(PathFor(fid));
+}
+
+Result<content::Ref> FileCache::ReadRef(const Fid& fid) const {
+  const CacheEntry* e = Find(fid);
+  if (e == nullptr || !e->has_data) return Status::kNotFound;
+  return local_fs_->ReadFileRef(PathFor(fid));
 }
 
 Status FileCache::WriteData(const Fid& fid, const Bytes& data) {

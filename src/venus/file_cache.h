@@ -69,13 +69,16 @@ class FileCache {
   // Creates or refreshes an entry with status only (no data).
   CacheEntry& PutStatus(const Fid& fid, const vice::VnodeStatus& status);
 
-  // Installs whole-file data for a fid, writing the local cache copy.
-  // Returns the entry; caller must then call EnforceLimits and notify the
-  // custodian about any evicted fids.
-  CacheEntry& InstallData(const Fid& fid, const vice::VnodeStatus& status, const Bytes& data);
+  // Installs whole-file data for a fid, writing the local cache copy (the
+  // fetched ref itself, not a copy of its bytes). Returns the entry; caller
+  // must then call EnforceLimits and notify the custodian about any evicted
+  // fids.
+  CacheEntry& InstallData(const Fid& fid, const vice::VnodeStatus& status, content::Ref data);
 
   // Reads the cached copy (entry must have data).
   [[nodiscard]] Result<Bytes> ReadData(const Fid& fid) const;
+  // The cached copy as its stored ref, without materializing it.
+  [[nodiscard]] Result<content::Ref> ReadRef(const Fid& fid) const;
   // Overwrites the cached copy in place (local writes before close).
   [[nodiscard]] Status WriteData(const Fid& fid, const Bytes& data);
 

@@ -124,7 +124,8 @@ class LeasesPolicy final : public ValidationPolicy {
     rpc::Reader r(*reply);
     if (rpc::ExpectOk(r) != Status::kOk) return;
     auto new_expiry = r.U64();
-    auto n_rejected = new_expiry.ok() ? r.U32() : Result<uint32_t>(Status::kProtocolError);
+    auto n_rejected =
+        new_expiry.ok() ? r.Count(rpc::kFidWireBytes) : Result<uint32_t>(Status::kProtocolError);
     if (!n_rejected.ok()) return;
     std::vector<Fid> rejected;
     rejected.reserve(*n_rejected);

@@ -147,9 +147,10 @@ void Venus::NoteServerUnreachable(ServerId server) {
   MarkServerSuspect(server);
 }
 
-Result<Bytes> Venus::CallServer(ServerId server, Proc proc, const Bytes& request) {
+Result<Bytes> Venus::CallServer(ServerId server, Proc proc, const Bytes& request,
+                                std::optional<rpc::Bulk>* bulk) {
   ASSIGN_OR_RETURN(rpc::ClientConnection * conn, ConnectionTo(server));
-  auto reply = conn->Call(static_cast<uint32_t>(proc), request);
+  auto reply = conn->Call(static_cast<uint32_t>(proc), request, bulk);
   if (reply.status() == Status::kConnectionBroken) {
     // The server no longer knows this connection — it restarted and its
     // connection table (volatile state) died with it. The call was never
@@ -162,18 +163,19 @@ Result<Bytes> Venus::CallServer(ServerId server, Proc proc, const Bytes& request
     }
     MarkServerSuspect(server);
     ASSIGN_OR_RETURN(conn, ConnectionTo(server));
-    reply = conn->Call(static_cast<uint32_t>(proc), request);
+    reply = conn->Call(static_cast<uint32_t>(proc), request, bulk);
   }
   if (reply.ok()) last_contacted_ = server;
   return reply;
 }
 
-Result<Bytes> Venus::CallForFid(const Fid& fid, Proc proc, const Bytes& request) {
+Result<Bytes> Venus::CallForFid(const Fid& fid, Proc proc, const Bytes& request,
+                                std::optional<rpc::Bulk>* bulk) {
   ASSIGN_OR_RETURN(std::vector<ServerId> candidates, ServerCandidates(fid.volume));
 
   Status transport_failure = Status::kUnavailable;
   for (ServerId server : candidates) {
-    auto reply = CallServer(server, proc, request);
+    auto reply = CallServer(server, proc, request, bulk);
     if (!reply.ok()) {
       if (reply.status() == Status::kUnavailable ||
           reply.status() == Status::kConnectionBroken) {
@@ -206,7 +208,7 @@ Result<Bytes> Venus::CallForFid(const Fid& fid, Proc proc, const Bytes& request)
     RETURN_IF_ERROR(VolumeInfoFor(fid.volume, /*refresh=*/true).status());
     ASSIGN_OR_RETURN(ServerId retry_server, ServerFor(fid.volume));
     if (retry_server == server) return reply;  // hint did not change; give up
-    return CallServer(retry_server, proc, request);
+    return CallServer(retry_server, proc, request, bulk);
   }
   return transport_failure;
 }
@@ -315,12 +317,12 @@ Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
     }
   }
 
-  Bytes data;
+  content::Ref data;
   auto status = RpcFetch(fid, &data);
   if (!status.ok()) return status.status();
   // Writing the fetched copy to the local disk cache costs local I/O time.
   clock_->Advance(cost_.LocalIoTime(data.size()));
-  CacheEntry& entry = cache_.InstallData(fid, *status, data);
+  CacheEntry& entry = cache_.InstallData(fid, *status, std::move(data));
   entry.origin_server = last_contacted_;
   policy_->OnFetched(entry);
   cache_.Touch(fid, clock_->now());
@@ -357,13 +359,13 @@ Result<VnodeStatus> Venus::EnsureStatus(const Fid& fid) {
   return status;
 }
 
-Result<Bytes> Venus::DirBytesOf(const Fid& dir) {
+Result<std::shared_ptr<const Bytes>> Venus::DirBytesOf(const Fid& dir) {
   bool hit = false;
   ASSIGN_OR_RETURN(CacheEntry * e, EnsureData(dir, &hit));
   if (e->status.type != vice::VnodeType::kDirectory) return Status::kNotDirectory;
-  ASSIGN_OR_RETURN(Bytes data, cache_.ReadData(dir));
+  ASSIGN_OR_RETURN(content::Ref data, cache_.ReadRef(dir));
   clock_->Advance(cost_.LocalIoTime(data.size()));
-  return data;
+  return data.Buffer();
 }
 
 void Venus::DropEvicted(const std::vector<Fid>& evicted) {
@@ -377,15 +379,16 @@ void Venus::InvalidateDir(const Fid& dir) { cache_.Invalidate(dir); }
 
 // --- RPC wrappers ------------------------------------------------------------------------
 
-Result<VnodeStatus> Venus::RpcFetch(const Fid& fid, Bytes* data) {
+Result<VnodeStatus> Venus::RpcFetch(const Fid& fid, content::Ref* data) {
   rpc::Writer w;
   w.PutFid(fid);
   last_lease_expiry_ = 0;
-  ASSIGN_OR_RETURN(Bytes reply, CallForFid(fid, Proc::kFetch, w.Take()));
+  std::optional<rpc::Bulk> bulk;
+  ASSIGN_OR_RETURN(Bytes reply, CallForFid(fid, Proc::kFetch, w.Take(), &bulk));
   rpc::Reader r(reply);
   RETURN_IF_ERROR(rpc::ExpectOk(r));
   ASSIGN_OR_RETURN(VnodeStatus status, vice::ReadVnodeStatus(r));
-  ASSIGN_OR_RETURN(*data, r.BytesField());
+  ASSIGN_OR_RETURN(*data, r.RefField(bulk));
   if (config_.validation == VenusConfig::Validation::kLeases) {
     ASSIGN_OR_RETURN(uint64_t expiry, r.U64());
     last_lease_expiry_ = static_cast<SimTime>(expiry);
@@ -493,8 +496,8 @@ Result<Fid> Venus::WalkClient(const std::string& path, bool for_update, bool fol
       continue;
     }
 
-    ASSIGN_OR_RETURN(Bytes dir_bytes, DirBytesOf(cur));
-    auto found = vice::LookupDirectory(dir_bytes, comp);
+    ASSIGN_OR_RETURN(std::shared_ptr<const Bytes> dir_bytes, DirBytesOf(cur));
+    auto found = vice::LookupDirectory(*dir_bytes, comp);
     if (!found.ok()) {
       return found.status() == Status::kNotFound ? Status::kNotFound : Status::kInternal;
     }
@@ -644,7 +647,7 @@ Result<Venus::OpenResult> Venus::Open(const std::string& path, bool for_write, b
 
     InvalidateDir(ref.parent);
     name_cache_.insert_or_assign(content::StringInterner::Global().Intern(path), fid);
-    CacheEntry& e = cache_.InstallData(fid, status, Bytes{});
+    CacheEntry& e = cache_.InstallData(fid, status, content::Ref());
     e.origin_server = last_contacted_;
     cache_.Touch(fid, clock_->now());
     cache_.Pin(fid);
@@ -804,8 +807,8 @@ Result<VnodeStatus> Venus::Stat(const std::string& path) {
 Result<std::vector<std::pair<std::string, DirItem>>> Venus::ReadDir(const std::string& path) {
   if (!logged_in()) return Status::kAuthFailed;
   ASSIGN_OR_RETURN(Fid fid, ResolveFinal(path, /*for_update=*/false, /*follow_final=*/true));
-  ASSIGN_OR_RETURN(Bytes dir_bytes, DirBytesOf(fid));
-  auto entries = vice::DeserializeDirectory(dir_bytes);
+  ASSIGN_OR_RETURN(std::shared_ptr<const Bytes> dir_bytes, DirBytesOf(fid));
+  auto entries = vice::DeserializeDirectory(*dir_bytes);
   if (!entries.ok()) return Status::kInternal;
   std::vector<std::pair<std::string, DirItem>> out(entries->begin(), entries->end());
   return out;

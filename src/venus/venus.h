@@ -186,10 +186,14 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   // tell); a lease keeps its own horizon — the server waits out unreachable
   // holders before completing writes, so trusting it until expiry is safe.
   void NoteServerUnreachable(ServerId server);
-  [[nodiscard]] Result<Bytes> CallServer(ServerId server, vice::Proc proc, const Bytes& request);
+  // Both pass `bulk` to every attempt they make (rpc::ClientConnection::Call),
+  // so it ends up holding the bulk of the reply they return.
+  [[nodiscard]] Result<Bytes> CallServer(ServerId server, vice::Proc proc, const Bytes& request,
+                                         std::optional<rpc::Bulk>* bulk = nullptr);
   // Calls the custodian (or nearest replica) for `fid`; transparently
   // refreshes stale location hints on kNotCustodian and retries once.
-  [[nodiscard]] Result<Bytes> CallForFid(const Fid& fid, vice::Proc proc, const Bytes& request);
+  [[nodiscard]] Result<Bytes> CallForFid(const Fid& fid, vice::Proc proc, const Bytes& request,
+                                         std::optional<rpc::Bulk>* bulk = nullptr);
 
   // --- Location ---------------------------------------------------------------------
   [[nodiscard]] Result<VolumeId> RootVolume();
@@ -230,8 +234,9 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   // Ensures valid cached status for `fid`.
   [[nodiscard]] Result<vice::VnodeStatus> EnsureStatus(const Fid& fid);
   // The cached bytes of directory `dir` (fetched or validated as above),
-  // charged as one local read: what a walk step and ReadDir interpret.
-  [[nodiscard]] Result<Bytes> DirBytesOf(const Fid& dir);
+  // charged as one local read: what a walk step and ReadDir interpret. The
+  // buffer is the cached one itself, shared with the server that built it.
+  [[nodiscard]] Result<std::shared_ptr<const Bytes>> DirBytesOf(const Fid& dir);
   void DropEvicted(const std::vector<Fid>& evicted);
   void InvalidateDir(const Fid& dir);
   // Stores the cached copy of `fid` to its custodian now.
@@ -240,7 +245,7 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   // --- RPC wrappers -------------------------------------------------------------------------
   // Fetch wrappers also consume the lease grant piggybacked on the reply in
   // lease mode (stashed in last_lease_expiry_ for the policy's OnFetched).
-  [[nodiscard]] Result<vice::VnodeStatus> RpcFetch(const Fid& fid, Bytes* data);
+  [[nodiscard]] Result<vice::VnodeStatus> RpcFetch(const Fid& fid, content::Ref* data);
   [[nodiscard]] Result<vice::VnodeStatus> RpcFetchStatus(const Fid& fid);
   [[nodiscard]] Result<vice::VnodeStatus> RpcStore(const Fid& fid, const Bytes& data);
 

@@ -502,14 +502,16 @@ Bytes ViceServer::HandleFetch(rpc::CallContext& ctx, rpc::Reader& r, bool with_d
 
   rpc::Writer w;
   if (with_data) {
-    auto data = vol->FetchData(*fid);
+    // The contents ride beside the reply as the volume's own ref (§3.5.3);
+    // the endpoint splices them in only for a sealed connection.
+    auto data = vol->FetchRef(*fid);
     if (!data.ok()) return StatusReply(data.status());
     ctx.ChargeDisk(data->size());
     ChargeAdminFile(ctx);
     ctx.ChargeCpu(cost_.ServerCopyCpu(data->size()));
     w.PutStatus(Status::kOk);
     PutVnodeStatus(w, *status);
-    w.PutBytes(*data);
+    ctx.set_bulk(w.PutBulk(std::move(*data)));
   } else {
     w.PutStatus(Status::kOk);
     PutVnodeStatus(w, *status);
@@ -1076,10 +1078,8 @@ Bytes ViceServer::HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r) {
 }
 
 Bytes ViceServer::HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r) {
-  auto n = r.U32();
-  // A fid is 12 wire bytes: a count the request cannot hold must not size
-  // the allocation below.
-  if (!n.ok() || *n > r.remaining() / 12) return StatusReply(Status::kProtocolError);
+  auto n = r.Count(rpc::kFidWireBytes);
+  if (!n.ok()) return StatusReply(Status::kProtocolError);
   std::vector<Fid> fids;
   fids.reserve(*n);
   for (uint32_t i = 0; i < *n; ++i) {

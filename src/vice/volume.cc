@@ -52,16 +52,24 @@ Result<Volume::Vnode*> Volume::LookupDirMutable(const Fid& fid) {
 
 Fid Volume::NewFid() { return Fid{id_, next_vnode_++, next_uniquifier_++}; }
 
+// SerializeDirectory's layout: a 4-byte count, then per entry the name
+// (4-byte length + bytes), the kind, the fid and the mount volume.
+uint64_t Volume::DirEntrySize(const std::string& name) { return 4 + name.size() + 1 + 12 + 4; }
+
 uint64_t Volume::DirDataSize(const DirMap& entries) {
   uint64_t size = 4;
-  for (const auto& [name, item] : entries) size += 4 + name.size() + 1 + 12 + 4;
+  for (const auto& [name, item] : entries) size += DirEntrySize(name);
   return size;
 }
 
-void Volume::TouchDir(Vnode& dir) {
+void Volume::TouchDir(Vnode& dir, uint64_t added, uint64_t removed) {
   dir.status.version += 1;
   dir.status.mtime = now_;
-  dir.status.length = DirDataSize(dir.entries);
+  // A directory untouched since it was made still reports length 0; its
+  // serialized form then is the empty 4-byte count.
+  const uint64_t length = dir.status.length == 0 ? DirDataSize({}) : dir.status.length;
+  dir.status.length = length + added - removed;
+  dir_buffers_.erase(dir.status.fid.vnode);
 }
 
 Status Volume::ChargeQuota(int64_t delta) {
@@ -93,7 +101,7 @@ Result<Fid> Volume::CreateFile(const Fid& dir, const std::string& name, UserId o
   v.status.parent = dir;
   vnodes_.emplace(fid.vnode, std::move(v));
   d->entries.emplace(name, DirItem{DirItem::Kind::kFile, fid, kInvalidVolume});
-  TouchDir(*d);
+  TouchDir(*d, DirEntrySize(name), 0);
   return fid;
 }
 
@@ -117,7 +125,7 @@ Result<Fid> Volume::MakeDir(const Fid& dir, const std::string& name, UserId owne
   v.acl = acl;
   vnodes_.emplace(fid.vnode, std::move(v));
   d->entries.emplace(name, DirItem{DirItem::Kind::kDirectory, fid, kInvalidVolume});
-  TouchDir(*d);
+  TouchDir(*d, DirEntrySize(name), 0);
   return fid;
 }
 
@@ -143,7 +151,7 @@ Result<Fid> Volume::MakeSymlink(const Fid& dir, const std::string& name,
   v.data = content::Ref::Inline(ToBytes(target));
   vnodes_.emplace(fid.vnode, std::move(v));
   d->entries.emplace(name, DirItem{DirItem::Kind::kSymlink, fid, kInvalidVolume});
-  TouchDir(*d);
+  TouchDir(*d, DirEntrySize(name), 0);
   return fid;
 }
 
@@ -153,7 +161,7 @@ Status Volume::MakeMountPoint(const Fid& dir, const std::string& name, VolumeId 
   ASSIGN_OR_RETURN(Vnode * d, LookupDirMutable(dir));
   if (d->entries.contains(name)) return Status::kAlreadyExists;
   d->entries.emplace(name, DirItem{DirItem::Kind::kMountPoint, kNullFid, target});
-  TouchDir(*d);
+  TouchDir(*d, DirEntrySize(name), 0);
   return Status::kOk;
 }
 
@@ -174,7 +182,7 @@ Status Volume::RemoveFile(const Fid& dir, const std::string& name) {
     }
   }
   d->entries.erase(it);
-  TouchDir(*d);
+  TouchDir(*d, 0, DirEntrySize(name));
   return Status::kOk;
 }
 
@@ -188,10 +196,11 @@ Status Volume::RemoveDir(const Fid& dir, const std::string& name) {
   if (victim != vnodes_.end()) {
     if (!victim->second.entries.empty()) return Status::kNotEmpty;
     ITC_CHECK(ChargeQuota(-static_cast<int64_t>(kPerVnodeOverhead)) == Status::kOk);
+    dir_buffers_.erase(victim->first);
     vnodes_.erase(victim);
   }
   d->entries.erase(it);
-  TouchDir(*d);
+  TouchDir(*d, 0, DirEntrySize(name));
   return Status::kOk;
 }
 
@@ -247,21 +256,26 @@ Status Volume::Rename(const Fid& from_dir, const std::string& from_name, const F
       // pointer changes; fid, version and data are untouched.
     }
   }
-  TouchDir(*src);
-  if (!(from_dir == to_dir)) TouchDir(*dst);
+  if (from_dir == to_dir) {
+    TouchDir(*src, DirEntrySize(to_name), DirEntrySize(from_name));
+  } else {
+    TouchDir(*src, 0, DirEntrySize(from_name));
+    TouchDir(*dst, DirEntrySize(to_name), 0);
+  }
   return Status::kOk;
 }
 
-Result<Bytes> Volume::FetchData(const Fid& fid) const {
+Result<content::Ref> Volume::FetchRef(const Fid& fid) const {
   ASSIGN_OR_RETURN(const Vnode* v, Lookup(fid));
-  if (v->status.type == VnodeType::kDirectory) return SerializeDirectory(v->entries);
-  return v->data.Materialize();
+  if (v->status.type != VnodeType::kDirectory) return v->data;
+  auto [it, built] = dir_buffers_.try_emplace(fid.vnode);
+  if (built) it->second = content::Ref::Inline(SerializeDirectory(v->entries));
+  return it->second;
 }
 
-Result<const content::Ref*> Volume::FetchRef(const Fid& fid) const {
-  ASSIGN_OR_RETURN(const Vnode* v, Lookup(fid));
-  if (v->status.type == VnodeType::kDirectory) return Status::kIsDirectory;
-  return &v->data;
+Result<Bytes> Volume::FetchData(const Fid& fid) const {
+  ASSIGN_OR_RETURN(content::Ref data, FetchRef(fid));
+  return data.Materialize();
 }
 
 Status Volume::StoreData(const Fid& fid, Bytes data) {
@@ -476,6 +490,8 @@ Result<std::unique_ptr<Volume>> Volume::Restore(const Bytes& dump, VolumeId new_
 
 Volume::SalvageReport Volume::Salvage() {
   SalvageReport report;
+  // Dropping a dangling entry changes a directory without a new version.
+  dir_buffers_.clear();
 
   // Pass 1: drop directory entries that point at missing/stale vnodes.
   for (auto& [num, v] : vnodes_) {

@@ -13,9 +13,10 @@
 // copy-on-write the paper calls for), and synthetic populated contents cost
 // ~32 bytes however large the file. Quota, status lengths, and dump images
 // are all accounted at the logical byte size; only code that needs real
-// bytes (FetchData, Dump) materializes, transiently. Volumes enforce quota
-// (Section 3.6) and read-only-ness; protection checks belong to the
-// FileServer above.
+// bytes (FetchData, Dump) materializes, transiently. A fetched directory's
+// serialized entries are built once per version and shared with every
+// fetcher (FetchRef). Volumes enforce quota (Section 3.6) and
+// read-only-ness; protection checks belong to the FileServer above.
 
 #ifndef SRC_VICE_VOLUME_H_
 #define SRC_VICE_VOLUME_H_
@@ -95,8 +96,11 @@ class Volume {
                 const std::string& to_name);
 
   // --- Data operations ---------------------------------------------------------
-  // Fetches file/symlink data, or serialized entries for a directory. The
-  // returned buffer is materialized transiently (the wire carries bytes).
+  // What a Fetch serves: a file's or symlink's stored contents, or a
+  // directory's serialized entries as one immutable buffer, built and
+  // interned on the first fetch of each directory version.
+  [[nodiscard]] Result<content::Ref> FetchRef(const Fid& fid) const;
+  // FetchRef's contents as literal bytes (a fresh buffer).
   [[nodiscard]] Result<Bytes> FetchData(const Fid& fid) const;
   // Stores literal bytes: canonicalized (generative prefix recognized,
   // literal tail interned) and handed to StoreRef.
@@ -104,9 +108,6 @@ class Volume {
   // Stores contents by reference without materializing — the populate path
   // and intention-log replay. Quota and status.length use the logical size.
   [[nodiscard]] Status StoreRef(const Fid& fid, content::Ref data);
-  // The stored representation of a file or symlink (kIsDirectory for
-  // directories) — equivalence tests and memory accounting.
-  [[nodiscard]] Result<const content::Ref*> FetchRef(const Fid& fid) const;
 
   // --- Status / protection -------------------------------------------------------
   [[nodiscard]] Result<VnodeStatus> GetStatus(const Fid& fid) const;
@@ -170,9 +171,13 @@ class Volume {
   [[nodiscard]] Result<Vnode*> LookupDirMutable(const Fid& fid);
   Fid NewFid();
   Vnode& Node(uint32_t vnode) { return vnodes_.at(vnode); }
-  void TouchDir(Vnode& dir);
+  // A directory's entries changed: bumps its version and mtime, drops its
+  // fetched buffer, and moves its length by the serialized size of the
+  // entries `added` minus those `removed`.
+  void TouchDir(Vnode& dir, uint64_t added, uint64_t removed);
   // Charges (new - old) bytes against quota; kQuotaExceeded if over.
   [[nodiscard]] Status ChargeQuota(int64_t delta);
+  static uint64_t DirEntrySize(const std::string& name);
   static uint64_t DirDataSize(const DirMap& entries);
 
   VolumeId id_;
@@ -185,6 +190,9 @@ class Volume {
   uint32_t next_uniquifier_ = 2;  // 1 is the root's
   SimTime now_ = 0;
   std::unordered_map<uint32_t, Vnode> vnodes_;
+  // Serialized entries of the directories fetched since their last change,
+  // by vnode: only fetched directories pay for a buffer.
+  mutable std::unordered_map<uint32_t, content::Ref> dir_buffers_;
 };
 
 }  // namespace itc::vice

@@ -150,7 +150,7 @@ Result<std::vector<std::string>> PcClient::ReadDir(const std::string& path) {
   ASSIGN_OR_RETURN(Bytes reply, Call(SurrogateProc::kReadDir, w.Take()));
   rpc::Reader r(reply);
   RETURN_IF_ERROR(rpc::ExpectOk(r));
-  ASSIGN_OR_RETURN(uint32_t n, r.U32());
+  ASSIGN_OR_RETURN(uint32_t n, r.Count(rpc::kStringMinWireBytes));
   std::vector<std::string> names;
   names.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/rpc/interceptor.h"
+#include "src/rpc/wire.h"
 
 namespace itc::baseline {
 namespace {
@@ -169,6 +170,24 @@ TEST_F(RemoteOpenTest, TruncateShrinksOpenFile) {
   ASSERT_EQ(client_.Close(*h), Status::kOk);
   EXPECT_EQ(client_.Stat("/f")->size, 0u);
   EXPECT_EQ(client_.Truncate(999, 0), Status::kBadDescriptor);
+}
+
+// Answers every call OK with a directory count of 0xffffffff and no names.
+class HostileCountService : public rpc::Service {
+ public:
+  Result<Bytes> Dispatch(rpc::CallContext&, uint32_t, const Bytes&) override {
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutU32(0xffffffffu);
+    return w.Take();
+  }
+};
+
+TEST_F(RemoteOpenTest, ReadDirRefusesACountTheReplyCannotHold) {
+  // Sized by the count alone, the name vector would ask for ~137 GB.
+  HostileCountService hostile;
+  server_.endpoint().set_service(&hostile);
+  EXPECT_EQ(client_.ReadDir("/").status(), Status::kProtocolError);
 }
 
 }  // namespace

@@ -109,6 +109,15 @@ TEST(ContentRef, SameContentAcrossRepresentations) {
   EXPECT_FALSE(gen.SameContent(Ref::ForSeed(5, 2047)));  // size mismatch
 }
 
+TEST(ContentRef, BufferSharesALiteralTailAndMaterializesTheRest) {
+  const Ref literal = Ref::Inline(ToBytes("a directory's bytes"));
+  EXPECT_EQ(literal.Buffer(), literal.tail());  // no copy
+
+  const Ref gen = Ref::ForSeed(5, 300);
+  EXPECT_EQ(*gen.Buffer(), gen.Materialize());
+  EXPECT_TRUE(Ref().Buffer()->empty());
+}
+
 TEST(ContentRef, DisabledCanonicalizationKeepsEverythingInline) {
   CanonGuard guard(false);
   const Bytes data = Ref::ForSeed(13, 4096).Materialize();

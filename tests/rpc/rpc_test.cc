@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/content.h"
 #include "src/crypto/cbc.h"
+#include "src/rpc/interceptor.h"
 #include "src/rpc/wire.h"
 
 namespace itc::rpc {
@@ -63,6 +65,94 @@ TEST(WireTest, OversizedStringLengthFails) {
   }
   Reader r2(buf);
   EXPECT_EQ(r2.String().status(), Status::kProtocolError);
+}
+
+TEST(WireTest, CountIsBoundedByTheBytesThatFollow) {
+  // A count followed by three fids (36 bytes).
+  auto read_count = [](uint32_t count) {
+    Writer w;
+    w.PutU32(count);
+    for (uint32_t i = 0; i < 3; ++i) w.PutFid(Fid{1, i, 1});
+    const Bytes buf = w.Take();
+    Reader r(buf);
+    return r.Count(kFidWireBytes);
+  };
+  EXPECT_EQ(*read_count(3), 3u);  // at the limit
+  EXPECT_EQ(*read_count(2), 2u);  // one below
+  EXPECT_EQ(read_count(4).status(), Status::kProtocolError);  // one above
+  EXPECT_EQ(read_count(0xffffffffu).status(), Status::kProtocolError);
+}
+
+// Status, a bulk field, then a trailing U64, as control bytes plus a Bulk.
+struct BulkReply {
+  Bytes control;
+  Bulk bulk;
+};
+
+BulkReply MakeBulkReply(const content::Ref& data) {
+  Writer w;
+  w.PutStatus(Status::kOk);
+  Bulk bulk = w.PutBulk(data);
+  w.PutU64(42);
+  return BulkReply{w.Take(), std::move(bulk)};
+}
+
+// 300 generative bytes followed by a literal tail.
+content::Ref TailedContents() {
+  Bytes bytes = content::Ref::ForSeed(5, 300).Materialize();
+  const Bytes tail = ToBytes("-- literal tail");
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  return content::Ref::Canonicalize(std::move(bytes));
+}
+
+TEST(WireTest, BulkFieldReadsTheSameBesideOrSpliced) {
+  const content::Ref data = TailedContents();
+  ASSERT_GT(data.gen_len(), 0u);
+  ASSERT_NE(data.tail(), nullptr);
+  const BulkReply reply = MakeBulkReply(data);
+
+  // Spliced, the reply is exactly the inline layout.
+  Writer inline_layout;
+  inline_layout.PutStatus(Status::kOk);
+  inline_layout.PutBytes(data.Materialize());
+  inline_layout.PutU64(42);
+  const Bytes spliced = Splice(reply.control, reply.bulk);
+  EXPECT_EQ(spliced, inline_layout.Take());
+
+  // Beside: the field is the ref itself, and the control bytes go on.
+  Reader beside(reply.control);
+  ASSERT_EQ(ExpectOk(beside), Status::kOk);
+  auto got = beside.RefField(reply.bulk);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->tail(), data.tail());
+  EXPECT_EQ(got->gen_len(), data.gen_len());
+  EXPECT_EQ(*beside.U64(), 42u);
+  EXPECT_TRUE(beside.AtEnd());
+
+  // Inline: the same contents, canonicalized back to the same ref.
+  Reader in(spliced);
+  ASSERT_EQ(ExpectOk(in), Status::kOk);
+  auto read_inline = in.RefField(std::nullopt);
+  ASSERT_TRUE(read_inline.ok());
+  EXPECT_TRUE(read_inline->SameContent(data));
+  EXPECT_EQ(read_inline->tail(), data.tail());  // interned: one buffer
+  EXPECT_EQ(*in.U64(), 42u);
+  EXPECT_TRUE(in.AtEnd());
+}
+
+TEST(WireTest, BulkThatDoesNotBelongToTheFieldIsRefused) {
+  const BulkReply reply = MakeBulkReply(TailedContents());
+  Bulk misplaced = reply.bulk;
+  misplaced.offset += 1;
+  Reader at_wrong_offset(reply.control);
+  ASSERT_EQ(ExpectOk(at_wrong_offset), Status::kOk);
+  EXPECT_EQ(at_wrong_offset.RefField(misplaced).status(), Status::kProtocolError);
+
+  Bulk resized = reply.bulk;
+  resized.data = content::Ref::Inline(ToBytes("short"));
+  Reader wrong_size(reply.control);
+  ASSERT_EQ(ExpectOk(wrong_size), Status::kOk);
+  EXPECT_EQ(wrong_size.RefField(resized).status(), Status::kProtocolError);
 }
 
 // --- End-to-end RPC -----------------------------------------------------------
@@ -237,6 +327,90 @@ TEST_F(RpcTest, ClosedConnectionRemovedFromServer) {
   auto conn2 = Connect(server.get());
   ASSERT_TRUE(conn2.ok());
   ASSERT_TRUE((*conn2)->Call(1, ToBytes("y")).ok());
+}
+
+// Answers every call with MakeBulkReply(contents).
+class BulkService : public Service {
+ public:
+  explicit BulkService(content::Ref contents) : contents_(std::move(contents)) {}
+  Result<Bytes> Dispatch(CallContext& ctx, uint32_t, const Bytes&) override {
+    BulkReply reply = MakeBulkReply(contents_);
+    ctx.set_bulk(std::move(reply.bulk));
+    return std::move(reply.control);
+  }
+
+ private:
+  content::Ref contents_;
+};
+
+TEST_F(RpcTest, BulkTravelsBesideOnlyToATakerOnAnUnsealedConnection) {
+  const content::Ref data = TailedContents();
+  BulkService bulk_service(data);
+  const BulkReply reference = MakeBulkReply(data);
+  const Bytes expected_inline = Splice(reference.control, reference.bulk);
+
+  struct Outcome {
+    Bytes reply;
+    std::optional<Bulk> bulk;
+    SimTime elapsed = 0;
+    uint64_t reply_bytes = 0;
+  };
+  auto call = [&](bool encrypt, bool take_bulk) {
+    RpcConfig config;
+    config.encrypt = encrypt;
+    auto server = MakeServer(config);
+    server->set_service(&bulk_service);
+    auto conn = Connect(server.get());
+    EXPECT_TRUE(conn.ok());
+    Outcome out;
+    const SimTime t0 = clock_.now();
+    auto reply = (*conn)->Call(1, Bytes{}, take_bulk ? &out.bulk : nullptr);
+    EXPECT_TRUE(reply.ok());
+    out.reply = *reply;
+    out.elapsed = clock_.now() - t0;
+    out.reply_bytes = server->stats().reply_bytes;
+    return out;
+  };
+
+  const Outcome beside = call(/*encrypt=*/false, /*take_bulk=*/true);
+  ASSERT_TRUE(beside.bulk.has_value());
+  EXPECT_EQ(beside.bulk->data.tail(), data.tail());  // the server's ref itself
+  EXPECT_EQ(Splice(beside.reply, *beside.bulk), expected_inline);
+
+  const Outcome unaware = call(/*encrypt=*/false, /*take_bulk=*/false);
+  EXPECT_EQ(unaware.reply, expected_inline);
+
+  const Outcome sealed = call(/*encrypt=*/true, /*take_bulk=*/true);
+  EXPECT_FALSE(sealed.bulk.has_value());
+  EXPECT_EQ(sealed.reply, expected_inline);
+
+  // The wire and the stats see the inline layout however the bulk travelled.
+  EXPECT_EQ(beside.elapsed, unaware.elapsed);
+  EXPECT_EQ(beside.reply_bytes, expected_inline.size());
+  EXPECT_EQ(unaware.reply_bytes, expected_inline.size());
+  EXPECT_EQ(sealed.reply_bytes, expected_inline.size());
+}
+
+TEST_F(RpcTest, BulkSlotHoldsOnlyWhatTheLastAttemptDelivered) {
+  RpcConfig config;
+  config.encrypt = false;
+  auto server = MakeServer(config);
+  auto conn = Connect(server.get());
+  ASSERT_TRUE(conn.ok());
+  const Bulk stale{content::Ref::Inline(ToBytes("stale")), 4};
+
+  // A reply without a bulk empties the slot...
+  std::optional<Bulk> slot = stale;
+  ASSERT_TRUE((*conn)->Call(1, ToBytes("ping"), &slot).ok());
+  EXPECT_FALSE(slot.has_value());
+
+  // ...and so does an attempt whose reply is lost after the server ran it.
+  BulkService bulk_service(TailedContents());
+  server->set_service(&bulk_service);
+  slot = stale;
+  server->fault().DropNextReplies(1);
+  EXPECT_EQ((*conn)->Call(1, Bytes{}, &slot).status(), Status::kUnavailable);
+  EXPECT_FALSE(slot.has_value());
 }
 
 TEST_F(RpcTest, WholeFileSideEffectMovesBigPayloads) {

@@ -33,7 +33,7 @@ class FileCacheTest : public ::testing::Test {
 TEST_F(FileCacheTest, InstallAndRead) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, 1 << 20, 100);
   const Fid fid{1, 2, 3};
-  cache.InstallData(fid, StatusFor(fid, 5), ToBytes("hello"));
+  cache.InstallData(fid, StatusFor(fid, 5), content::Ref::Inline(ToBytes("hello")));
   auto data = cache.ReadData(fid);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(ToString(*data), "hello");
@@ -55,8 +55,8 @@ TEST_F(FileCacheTest, StatusOnlyEntryHasNoData) {
 TEST_F(FileCacheTest, ReinstallReplacesBytes) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, 1 << 20, 100);
   const Fid fid{1, 2, 3};
-  cache.InstallData(fid, StatusFor(fid, 4), ToBytes("long contents"));
-  cache.InstallData(fid, StatusFor(fid, 4), ToBytes("tiny"));
+  cache.InstallData(fid, StatusFor(fid, 4), content::Ref::Inline(ToBytes("long contents")));
+  cache.InstallData(fid, StatusFor(fid, 4), content::Ref::Inline(ToBytes("tiny")));
   EXPECT_EQ(cache.data_bytes(), 4u);
   EXPECT_EQ(ToString(*cache.ReadData(fid)), "tiny");
 }
@@ -64,7 +64,7 @@ TEST_F(FileCacheTest, ReinstallReplacesBytes) {
 TEST_F(FileCacheTest, InvalidateKeepsDataForRevalidation) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, 1 << 20, 100);
   const Fid fid{1, 2, 3};
-  cache.InstallData(fid, StatusFor(fid, 1), ToBytes("x"));
+  cache.InstallData(fid, StatusFor(fid, 1), content::Ref::Inline(ToBytes("x")));
   cache.Invalidate(fid);
   EXPECT_FALSE(cache.Find(fid)->valid);
   EXPECT_TRUE(cache.Find(fid)->has_data);
@@ -74,7 +74,7 @@ TEST_F(FileCacheTest, InvalidateKeepsDataForRevalidation) {
 TEST_F(FileCacheTest, EraseRemovesLocalFile) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, 1 << 20, 100);
   const Fid fid{1, 2, 3};
-  cache.InstallData(fid, StatusFor(fid, 3), ToBytes("xyz"));
+  cache.InstallData(fid, StatusFor(fid, 3), content::Ref::Inline(ToBytes("xyz")));
   cache.Erase(fid);
   EXPECT_EQ(cache.Find(fid), nullptr);
   EXPECT_EQ(cache.data_bytes(), 0u);
@@ -85,7 +85,7 @@ TEST_F(FileCacheTest, SpaceLimitEvictsLru) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, /*max_bytes=*/1000, 100);
   for (uint32_t i = 0; i < 4; ++i) {
     const Fid fid{1, i + 10, 1};
-    cache.InstallData(fid, StatusFor(fid, 300), Bytes(300, 'a'));
+    cache.InstallData(fid, StatusFor(fid, 300), content::Ref::Inline(Bytes(300, 'a')));
     cache.Touch(fid, i * 100);
   }
   // 1200 bytes cached; LRU (vnode 10) must go.
@@ -102,12 +102,12 @@ TEST_F(FileCacheTest, FileCountLimitIgnoresBytes) {
                          /*max_files=*/3);
   for (uint32_t i = 0; i < 3; ++i) {
     const Fid fid{1, i + 10, 1};
-    cache.InstallData(fid, StatusFor(fid, 5000), Bytes(5000, 'b'));
+    cache.InstallData(fid, StatusFor(fid, 5000), content::Ref::Inline(Bytes(5000, 'b')));
     cache.Touch(fid, i);
   }
   EXPECT_TRUE(cache.EnforceLimits().empty());  // 15000 bytes, but only 3 files
   const Fid fid{1, 99, 1};
-  cache.InstallData(fid, StatusFor(fid, 10), Bytes(10, 'c'));
+  cache.InstallData(fid, StatusFor(fid, 10), content::Ref::Inline(Bytes(10, 'c')));
   cache.Touch(fid, 100);
   auto evicted = cache.EnforceLimits();
   EXPECT_EQ(evicted.size(), 1u);  // over the file count now
@@ -117,10 +117,10 @@ TEST_F(FileCacheTest, PinnedEntriesAreNotEvicted) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kFileCount, 1 << 20, /*max_files=*/1);
   const Fid pinned{1, 1, 1};
   const Fid loose{1, 2, 1};
-  cache.InstallData(pinned, StatusFor(pinned, 3), ToBytes("abc"));
+  cache.InstallData(pinned, StatusFor(pinned, 3), content::Ref::Inline(ToBytes("abc")));
   cache.Pin(pinned);
   cache.Touch(pinned, 0);  // oldest
-  cache.InstallData(loose, StatusFor(loose, 3), ToBytes("def"));
+  cache.InstallData(loose, StatusFor(loose, 3), content::Ref::Inline(ToBytes("def")));
   cache.Touch(loose, 10);
   auto evicted = cache.EnforceLimits();
   ASSERT_EQ(evicted.size(), 1u);
@@ -132,7 +132,7 @@ TEST_F(FileCacheTest, EverythingPinnedMeansNoEviction) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kFileCount, 1 << 20, 1);
   for (uint32_t i = 0; i < 3; ++i) {
     const Fid fid{1, i + 1, 1};
-    cache.InstallData(fid, StatusFor(fid, 1), Bytes(1, 'x'));
+    cache.InstallData(fid, StatusFor(fid, 1), content::Ref::Inline(Bytes(1, 'x')));
     cache.Pin(fid);
   }
   EXPECT_TRUE(cache.EnforceLimits().empty());
@@ -143,7 +143,7 @@ TEST_F(FileCacheTest, InvalidateAllMarksEverything) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, 1 << 20, 100);
   for (uint32_t i = 0; i < 3; ++i) {
     const Fid fid{1, i + 1, 1};
-    cache.InstallData(fid, StatusFor(fid, 1), Bytes(1, 'x'));
+    cache.InstallData(fid, StatusFor(fid, 1), content::Ref::Inline(Bytes(1, 'x')));
   }
   cache.InvalidateAll();
   for (const Fid& fid : cache.CachedFids()) {
@@ -154,9 +154,9 @@ TEST_F(FileCacheTest, InvalidateAllMarksEverything) {
 TEST_F(FileCacheTest, StatsTrackEvictions) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kFileCount, 1 << 20, 1);
   const Fid a{1, 1, 1}, b{1, 2, 1};
-  cache.InstallData(a, StatusFor(a, 100), Bytes(100, 'x'));
+  cache.InstallData(a, StatusFor(a, 100), content::Ref::Inline(Bytes(100, 'x')));
   cache.Touch(a, 0);
-  cache.InstallData(b, StatusFor(b, 50), Bytes(50, 'y'));
+  cache.InstallData(b, StatusFor(b, 50), content::Ref::Inline(Bytes(50, 'y')));
   cache.Touch(b, 1);
   cache.EnforceLimits();
   EXPECT_EQ(cache.stats().insertions, 2u);
@@ -167,7 +167,7 @@ TEST_F(FileCacheTest, StatsTrackEvictions) {
 TEST_F(FileCacheTest, WriteDataUpdatesAccounting) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, 1 << 20, 100);
   const Fid fid{1, 2, 3};
-  cache.InstallData(fid, StatusFor(fid, 3), ToBytes("abc"));
+  cache.InstallData(fid, StatusFor(fid, 3), content::Ref::Inline(ToBytes("abc")));
   ASSERT_EQ(cache.WriteData(fid, Bytes(1000, 'z')), Status::kOk);
   EXPECT_EQ(cache.data_bytes(), 1000u);
   EXPECT_EQ(cache.Find(fid)->status.length, 1000u);
@@ -180,7 +180,7 @@ TEST_F(FileCacheTest, PathForDerivesTheLocalPathFromTheFid) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, 1 << 20, 100);
   const Fid fid{7, 42, 9};
   EXPECT_EQ(cache.PathFor(fid), "/cache/7.42.9");
-  cache.InstallData(fid, StatusFor(fid, 3), ToBytes("abc"));
+  cache.InstallData(fid, StatusFor(fid, 3), content::Ref::Inline(ToBytes("abc")));
   EXPECT_TRUE(fs_.Stat(cache.PathFor(fid)).ok());
   ASSERT_EQ(cache.WriteData(fid, ToBytes("abcd")), Status::kOk);
   EXPECT_EQ(ToString(*fs_.ReadFile(cache.PathFor(fid))), "abcd");
@@ -195,7 +195,7 @@ TEST_F(FileCacheTest, EvictionRemovesDerivedFilesAndKeepsAccountingExact) {
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, /*max_bytes=*/1000, 100);
   for (uint32_t i = 0; i < 4; ++i) {
     const Fid fid{1, i + 10, 1};
-    cache.InstallData(fid, StatusFor(fid, 300), Bytes(300, 'a'));
+    cache.InstallData(fid, StatusFor(fid, 300), content::Ref::Inline(Bytes(300, 'a')));
     cache.Touch(fid, i * 100);
   }
   auto evicted = cache.EnforceLimits();

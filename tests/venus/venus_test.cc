@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "src/campus/campus.h"
+#include "src/common/content.h"
+#include "src/rpc/interceptor.h"
 #include "src/workload/populate.h"
 #include "src/workload/synthetic_user.h"
 
@@ -313,6 +315,149 @@ TEST_F(VenusTest, AdvisoryLocksAcrossWorkstations) {
             Status::kLocked);
   ASSERT_EQ(ws_a.venus().ReleaseLock("/usr/alice/db"), Status::kOk);
   EXPECT_EQ(ws_b.venus().SetLock("/usr/alice/db", vice::LockMode::kShared), Status::kOk);
+}
+
+// --- Whole-file fetch as a side effect (rpc::Bulk) ------------------------
+
+// 3000 generative bytes followed by a literal tail.
+content::Ref TailedContents() {
+  Bytes bytes = content::Ref::ForSeed(11, 3000).Materialize();
+  const Bytes tail = ToBytes("\n-- a literal tail");
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  return content::Ref::Canonicalize(std::move(bytes));
+}
+
+// How many of this workstation's Fetch calls ended in `status`.
+uint64_t FetchOutcomes(Venus& venus, Status status) {
+  const rpc::OpStats* fetch = venus.call_stats().Find(static_cast<uint32_t>(vice::Proc::kFetch));
+  if (fetch == nullptr) return 0;
+  auto it = fetch->error_codes.find(status);
+  return it == fetch->error_codes.end() ? 0 : it->second;
+}
+
+CampusConfig Unsealed(uint32_t clusters) {
+  CampusConfig config = CampusConfig::Revised(clusters, 2);
+  config.rpc.encrypt = false;
+  return config;
+}
+
+Fid EntryFid(vice::Volume& vol, const std::string& name) {
+  return (*vol.LookupDir(vol.root()))->entries.at(name).fid;
+}
+
+// The buffer holding the cached copy of `fid`: null when nothing is cached.
+std::shared_ptr<const Bytes> CachedTail(Venus& venus, const Fid& fid) {
+  auto ref = venus.cache().ReadRef(fid);
+  return ref.ok() ? ref->tail() : nullptr;
+}
+
+struct FetchAccounting {
+  uint64_t server_reply_bytes = 0;
+  uint64_t server_fetch_bytes = 0;
+  uint64_t client_fetch_bytes = 0;
+  uint64_t bytes_fetched = 0;
+  bool operator==(const FetchAccounting&) const = default;
+};
+
+TEST_F(VenusTest, FetchAccountingIsTheSameSealedOrNot) {
+  const content::Ref contents = TailedContents();
+  auto fetch_once = [&](bool encrypt) {
+    CampusConfig config = CampusConfig::Revised(1, 2);
+    config.rpc.encrypt = encrypt;
+    Build(config);
+    EXPECT_EQ(campus_->PopulateDirect(alice_.volume, "/f", contents), Status::kOk);
+    // A fresh workstation walks /, /usr and /usr/alice, then fetches f.
+    auto& ws = Login(0);
+    auto data = ws.ReadWholeFile("/vice/usr/alice/f");
+    EXPECT_TRUE(data.ok());
+    EXPECT_TRUE(data.ok() && *data == contents.Materialize());
+
+    // On either kind of connection the cache holds the server's buffers.
+    vice::Volume& home = *campus_->registry().FindVolume(alice_.volume);
+    EXPECT_EQ(CachedTail(ws.venus(), home.root()), home.FetchRef(home.root())->tail());
+    EXPECT_EQ(CachedTail(ws.venus(), EntryFid(home, "f")), contents.tail());
+
+    const auto fetch = static_cast<uint32_t>(vice::Proc::kFetch);
+    const rpc::ServerEndpoint& server = campus_->server(0).endpoint();
+    FetchAccounting out;
+    out.server_reply_bytes = server.stats().reply_bytes;
+    out.server_fetch_bytes = server.call_stats().Find(fetch)->bytes_out;
+    out.client_fetch_bytes = ws.venus().call_stats().Find(fetch)->bytes_out;
+    out.bytes_fetched = ws.venus().stats().bytes_fetched;
+    EXPECT_EQ(out.server_reply_bytes, server.call_stats().total_bytes_out());
+    return out;
+  };
+  const FetchAccounting unsealed = fetch_once(/*encrypt=*/false);
+  const FetchAccounting sealed = fetch_once(/*encrypt=*/true);
+  EXPECT_GT(unsealed.bytes_fetched, contents.size());
+  EXPECT_GT(unsealed.server_fetch_bytes, unsealed.bytes_fetched);
+  EXPECT_EQ(unsealed.server_fetch_bytes, unsealed.client_fetch_bytes);
+  EXPECT_EQ(unsealed, sealed);
+}
+
+TEST_F(VenusTest, DroppedFetchReplyInstallsNothing) {
+  Build(Unsealed(1));
+  const content::Ref contents = TailedContents();
+  ASSERT_EQ(campus_->PopulateDirect(alice_.volume, "/f", contents), Status::kOk);
+  auto& ws = Login(0);
+  ASSERT_TRUE(ws.venus().Stat("/usr/alice/f").ok());  // directories cached
+  const Fid fid = EntryFid(*campus_->registry().FindVolume(alice_.volume), "f");
+
+  // The server runs the Fetch, but its reply (and the bulk beside it) is lost.
+  campus_->server(0).endpoint().fault().DropNextReplies(1, vice::CallClass::kFetch);
+  EXPECT_EQ(ws.ReadWholeFile("/vice/usr/alice/f").status(), Status::kUnavailable);
+  const CacheEntry* e = ws.venus().cache().Find(fid);
+  EXPECT_TRUE(e == nullptr || !e->has_data);
+  EXPECT_EQ(CachedTail(ws.venus(), fid), nullptr);
+
+  auto data = ws.ReadWholeFile("/vice/usr/alice/f");
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(*data, contents.Materialize());
+  EXPECT_EQ(CachedTail(ws.venus(), fid), contents.tail());
+}
+
+TEST_F(VenusTest, NotCustodianRetryInstallsTheNewCustodiansBuffer) {
+  Build(Unsealed(2));
+  auto& ws = Login(0);
+  // Venus learns where alice's volume lives and caches the status of its
+  // root, but not the root's entries.
+  ASSERT_TRUE(ws.venus().Stat("/usr/alice").ok());
+
+  // After the move Venus's location hint still names server 0, so fetching
+  // the root's entries is answered kNotCustodian there and resent to 1.
+  ASSERT_EQ(campus_->registry().MoveVolume(alice_.volume, /*new_custodian=*/1), Status::kOk);
+  const content::Ref contents = TailedContents();
+  ASSERT_EQ(campus_->PopulateDirect(alice_.volume, "/g", contents), Status::kOk);
+  auto data = ws.ReadWholeFile("/vice/usr/alice/g");
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(*data, contents.Materialize());
+  EXPECT_EQ(FetchOutcomes(ws.venus(), Status::kNotCustodian), 1u);
+
+  vice::Volume& moved = *campus_->server(1).FindVolume(alice_.volume);
+  EXPECT_EQ(CachedTail(ws.venus(), moved.root()), moved.FetchRef(moved.root())->tail());
+  EXPECT_EQ(CachedTail(ws.venus(), EntryFid(moved, "g")), contents.tail());
+}
+
+TEST_F(VenusTest, RehandshakeAfterRestartInstallsTheRetriedFetch) {
+  Build(Unsealed(1));
+  const content::Ref contents = TailedContents();
+  ASSERT_EQ(campus_->PopulateDirect(alice_.volume, "/f", ToBytes("first")), Status::kOk);
+  ASSERT_EQ(campus_->PopulateDirect(alice_.volume, "/g", contents), Status::kOk);
+  auto& ws = Login(0);
+  ASSERT_TRUE(ws.ReadWholeFile("/vice/usr/alice/f").ok());
+
+  // The restart forgets every connection: g's Fetch, the first call after
+  // it, fails kConnectionBroken and is resent on a fresh connection.
+  campus_->CrashServer(0);
+  ASSERT_TRUE(campus_->RestartServer(0, ws.clock().now()).clean());
+  const uint64_t suspect_marks = ws.venus().stats().suspect_marks;
+  auto data = ws.ReadWholeFile("/vice/usr/alice/g");
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(*data, contents.Materialize());
+  EXPECT_GT(ws.venus().stats().suspect_marks, suspect_marks);
+  EXPECT_EQ(FetchOutcomes(ws.venus(), Status::kConnectionBroken), 1u);
+  const Fid g = EntryFid(*campus_->registry().FindVolume(alice_.volume), "g");
+  EXPECT_EQ(CachedTail(ws.venus(), g), contents.tail());
 }
 
 }  // namespace

@@ -1,9 +1,17 @@
 // Unit tests for Vice volumes: vnode lifecycle, quota, stale fids, rename
-// fid-invariance, clone copy-on-write, and salvage.
+// fid-invariance, clone copy-on-write, salvage, and the per-version buffer
+// a directory fetch serves.
 
 #include "src/vice/volume.h"
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/rpc/wire.h"
+#include "src/vice/protocol.h"
 
 namespace itc::vice {
 namespace {
@@ -252,6 +260,159 @@ TEST_F(VolumeTest, RemoveEmptyDirOnly) {
   EXPECT_EQ(vol_.RemoveDir(vol_.root(), "d"), Status::kNotEmpty);
   ASSERT_EQ(vol_.RemoveFile(dir, "f"), Status::kOk);
   EXPECT_EQ(vol_.RemoveDir(vol_.root(), "d"), Status::kOk);
+}
+
+// Every directory reachable from the root, root first.
+std::vector<Fid> Directories(const Volume& vol) {
+  std::vector<Fid> out{vol.root()};
+  for (size_t i = 0; i < out.size(); ++i) {
+    for (const auto& [name, item] : (*vol.LookupDir(out[i]))->entries) {
+      if (item.kind == DirItem::Kind::kDirectory) out.push_back(item.fid);
+    }
+  }
+  return out;
+}
+
+// Each directory's length and served bytes against its live entries. A
+// directory untouched since it was made reports length 0 and has none.
+void ExpectDirectoriesMatchEntries(const Volume& vol) {
+  for (const Fid& dir : Directories(vol)) {
+    const Volume::Vnode* v = *vol.LookupDir(dir);
+    const Bytes serialized = SerializeDirectory(v->entries);
+    EXPECT_EQ(vol.FetchRef(dir)->Materialize(), serialized) << dir.ToString();
+    if (v->status.length == 0) {
+      EXPECT_TRUE(v->entries.empty()) << dir.ToString();
+      continue;
+    }
+    EXPECT_EQ(v->status.length, serialized.size()) << dir.ToString();
+  }
+}
+
+// The dump of a volume whose root lists "ghost", a file no vnode backs:
+// the damage Salvage repairs. No volume operation leaves such an entry, so
+// this writes Volume::Dump's layout field by field.
+Bytes DumpWithDanglingEntry(VolumeId id, UserId owner) {
+  const DirMap entries{{"ghost", DirItem{DirItem::Kind::kFile, Fid{id, 2, 2}, kInvalidVolume}}};
+  VnodeStatus root;
+  root.fid = VolumeRootFid(id);
+  root.type = VnodeType::kDirectory;
+  root.mode = 0755;
+  root.owner = owner;
+  root.version = 2;
+  root.length = SerializeDirectory(entries).size();
+  rpc::Writer w;
+  w.PutU32(0x56444d50);  // "VDMP"
+  w.PutU32(1);           // dump format version
+  w.PutU32(id);
+  w.PutString("damaged");
+  w.PutU8(static_cast<uint8_t>(VolumeType::kReadWrite));
+  w.PutU64(0);  // quota
+  w.PutU32(3);  // next vnode
+  w.PutU32(3);  // next uniquifier
+  w.PutU32(1);  // one vnode record: the root
+  w.PutU32(1);
+  PutVnodeStatus(w, root);
+  w.PutBool(false);
+  w.PutBytes(SerializeDirectory(entries));
+  w.PutBytes(OwnerAcl(owner).Serialize());
+  return w.Take();
+}
+
+TEST_F(VolumeTest, DirectoryBufferIsBuiltOncePerVersion) {
+  auto sub = vol_.MakeDir(vol_.root(), "sub", kOwner, OwnerAcl(kOwner));
+  ASSERT_TRUE(sub.ok());
+  const Fid root = vol_.root();
+  // Each step changes the root's entries (and, for the cross-directory
+  // rename, sub's too). The fetch after it serves the live entries from a
+  // new buffer, and fetching again without a change hands out that buffer.
+  const std::vector<std::function<Status()>> steps = {
+      [&] { return vol_.CreateFile(root, "f", kOwner, 0644).status(); },
+      [&] { return vol_.MakeDir(root, "d", kOwner, OwnerAcl(kOwner)).status(); },
+      [&] { return vol_.MakeSymlink(root, "s", "f", kOwner).status(); },
+      [&] { return vol_.MakeMountPoint(root, "m", 99); },
+      [&] { return vol_.Rename(root, "f", root, "g"); },
+      [&] { return vol_.Rename(root, "g", *sub, "g"); },
+      [&] { return vol_.RemoveFile(root, "s"); },
+      [&] { return vol_.RemoveFile(root, "m"); },
+      [&] { return vol_.RemoveDir(root, "d"); },
+  };
+  auto buffer_of = [&](const Fid& dir) { return vol_.FetchRef(dir)->tail(); };
+  for (size_t i = 0; i < steps.size(); ++i) {
+    const auto before = buffer_of(root);
+    const auto sub_before = buffer_of(*sub);
+    ASSERT_EQ(steps[i](), Status::kOk) << "step " << i;
+    const auto after = buffer_of(root);
+    EXPECT_NE(after, before) << "step " << i;
+    EXPECT_EQ(buffer_of(root), after) << "step " << i;
+    EXPECT_EQ(buffer_of(*sub) != sub_before, i == 5) << "step " << i;
+    ExpectDirectoriesMatchEntries(vol_);
+  }
+}
+
+TEST_F(VolumeTest, SalvagedDanglingEntryGetsANewBuffer) {
+  auto vol = Volume::Restore(DumpWithDanglingEntry(3, kOwner), 3, "damaged",
+                             VolumeType::kReadWrite);
+  ASSERT_TRUE(vol.ok());
+  const auto damaged = (*vol)->FetchRef((*vol)->root())->tail();
+  ASSERT_TRUE(LookupDirectory(*damaged, "ghost").ok());
+  const uint64_t version = (*vol)->GetStatus((*vol)->root())->version;
+
+  const Volume::SalvageReport report = (*vol)->Salvage();
+  EXPECT_EQ(report.dangling_entries_removed, 1u);
+  // Salvage dropped the entry without bumping the version, and the fetch
+  // still serves the live entries.
+  EXPECT_EQ((*vol)->GetStatus((*vol)->root())->version, version);
+  const auto repaired = (*vol)->FetchRef((*vol)->root())->tail();
+  EXPECT_NE(repaired, damaged);
+  EXPECT_EQ(LookupDirectory(*repaired, "ghost").status(), Status::kNotFound);
+  ExpectDirectoriesMatchEntries(**vol);
+}
+
+// Directory lengths move by one entry's serialized size per operation; a
+// seeded churn of every directory operation, on a volume that also carries
+// a dangling entry until Salvage drops it, must keep each length equal to
+// the full serialization.
+TEST_F(VolumeTest, DirectoryLengthTracksEntriesThroughSeededChurn) {
+  auto restored = Volume::Restore(DumpWithDanglingEntry(3, kOwner), 3, "damaged",
+                                  VolumeType::kReadWrite);
+  ASSERT_TRUE(restored.ok());
+  Volume& vol = **restored;
+  Rng rng(17);
+  std::vector<Fid> dirs{vol.root()};  // removed ones stay: their ops fail
+  auto pick_name = [&] { return "n" + std::to_string(rng.Below(10)); };
+  for (int step = 0; step < 600; ++step) {
+    const Fid dir = dirs[rng.Below(dirs.size())];
+    const std::string name = pick_name();
+    switch (rng.Below(7)) {
+      case 0:
+        (void)vol.CreateFile(dir, name, kOwner, 0644);
+        break;
+      case 1:
+        if (auto made = vol.MakeDir(dir, name, kOwner, OwnerAcl(kOwner)); made.ok()) {
+          dirs.push_back(*made);
+        }
+        break;
+      case 2:
+        (void)vol.MakeSymlink(dir, name, "target", kOwner);
+        break;
+      case 3:
+        (void)vol.MakeMountPoint(dir, name, 99);
+        break;
+      case 4:
+        (void)vol.RemoveFile(dir, name);
+        break;
+      case 5:
+        (void)vol.RemoveDir(dir, name);
+        break;
+      default:
+        (void)vol.Rename(dir, name, dirs[rng.Below(dirs.size())], pick_name());
+        break;
+    }
+    ExpectDirectoriesMatchEntries(vol);
+  }
+  EXPECT_GT(Directories(vol).size(), 3u);
+  EXPECT_EQ(vol.Salvage().dangling_entries_removed, 1u);
+  ExpectDirectoriesMatchEntries(vol);
 }
 
 TEST_F(VolumeTest, MTimeFromVirtualClock) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/campus/campus.h"
+#include "src/rpc/wire.h"
 
 namespace itc::virtue {
 namespace {
@@ -147,6 +148,24 @@ TEST_F(SurrogateTest, ProtectionStillEnforcedByVice) {
   // pcuser has no write access to the root volume's /unix tree.
   EXPECT_EQ(pc_->WriteFile("/vice/unix/hack", ToBytes("nope")),
             Status::kPermissionDenied);
+}
+
+// Answers every call OK with a directory count of 0xffffffff and no names.
+class HostileCountService : public rpc::Service {
+ public:
+  Result<Bytes> Dispatch(rpc::CallContext&, uint32_t, const Bytes&) override {
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutU32(0xffffffffu);
+    return w.Take();
+  }
+};
+
+TEST_F(SurrogateTest, ReadDirRefusesACountTheReplyCannotHold) {
+  // Sized by the count alone, the name vector would ask for ~137 GB.
+  HostileCountService hostile;
+  surrogate_->endpoint().set_service(&hostile);
+  EXPECT_EQ(pc_->ReadDir("/vice/usr").status(), Status::kProtocolError);
 }
 
 }  // namespace
