@@ -17,7 +17,8 @@
 // (tests/sim/kernel_backend_test.cc proves it); only wall-clock time,
 // memory, and OS context switches differ.
 //
-//   - kFiber:  one ucontext swap per suspend/resume, pooled stacks,
+//   - kFiber:  one user-space stack switch per suspend/resume (callee-saved
+//              registers only, no system call), pooled stacks,
 //              allocation-free steady state.
 //   - kThread: one OS thread per activity, baton passed through a
 //              mutex+condvar pair — two scheduler round trips per event.

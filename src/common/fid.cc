@@ -1,18 +1,24 @@
 #include "src/common/fid.h"
 
+#include <charconv>
 #include <ostream>
-#include <sstream>
 
 namespace itc {
 
 std::string Fid::ToString() const {
-  std::ostringstream os;
-  os << *this;
-  return os.str();
+  // "<volume>.<vnode>.<uniquifier>": three 32-bit decimals and two dots.
+  char buf[3 * 10 + 2];
+  char* const end = buf + sizeof(buf);
+  char* p = std::to_chars(buf, end, volume).ptr;
+  *p++ = '.';
+  p = std::to_chars(p, end, vnode).ptr;
+  *p++ = '.';
+  p = std::to_chars(p, end, uniquifier).ptr;
+  return std::string(buf, p);
 }
 
 std::ostream& operator<<(std::ostream& os, const Fid& fid) {
-  return os << fid.volume << "." << fid.vnode << "." << fid.uniquifier;
+  return os << fid.ToString();
 }
 
 }  // namespace itc

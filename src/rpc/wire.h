@@ -55,6 +55,13 @@ inline Bytes Splice(const Bytes& control, const Bulk& bulk) {
   return out;
 }
 
+// The little-endian 32-bit field at `p`, as Writer::PutU32 lays it out. The
+// caller has checked that four bytes are there.
+inline uint32_t LoadU32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 class Writer {
  public:
   void PutU8(uint8_t v) { buf_.push_back(v); }
@@ -104,8 +111,8 @@ class Reader {
   }
   [[nodiscard]] Result<uint32_t> U32() {
     if (pos_ + 4 > buf_.size()) return Status::kProtocolError;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(buf_[pos_++]) << (8 * i);
+    const uint32_t v = LoadU32(buf_.data() + pos_);
+    pos_ += 4;
     return v;
   }
   [[nodiscard]] Result<uint64_t> U64() {

@@ -8,6 +8,10 @@
 
 #include "src/common/logging.h"
 
+#if !defined(__x86_64__)
+#error "fiber.cc switches stacks in x86-64 assembly only: port itc_sim_fiber_switch (with its entry stub and the SwitchFrame that Fiber::Start lays out) to this target"
+#endif
+
 // AddressSanitizer's fiber-switch interface. GCC defines __SANITIZE_ADDRESS__,
 // Clang reports it through __has_feature; either way the annotations are
 // required for ASan to follow execution across stack switches, and compile to
@@ -24,13 +28,14 @@
 #endif
 
 #if ITC_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
 // ThreadSanitizer's fiber interface, same detection dance: GCC defines
 // __SANITIZE_THREAD__, Clang reports it through __has_feature. TSan keeps
 // per-"thread" shadow state (vector clocks, lock sets); without these
-// annotations a swapcontext teleports one OS thread between stacks and TSan
+// annotations a stack switch teleports one OS thread between stacks and TSan
 // misattributes every access after the switch.
 #if defined(__SANITIZE_THREAD__)
 #define ITC_FIBER_TSAN 1
@@ -47,9 +52,98 @@
 #include <sanitizer/tsan_interface.h>
 #endif
 
+// The context switch. itc_sim_fiber_switch(save_sp, load_sp) pushes the
+// x86-64 SysV callee-saved state (rbp, rbx, r12-r15, then the MXCSR and the
+// x87 control word in one 8-byte slot) on the current stack, stores the
+// stack pointer to *save_sp, loads load_sp and pops the same state from
+// there; its `ret` then returns into whatever called the switch on that
+// stack. The ABI lets a call clobber every other register, so nothing else
+// is saved, and the signal mask is never touched: no system call.
+//
+// A fresh fiber's stack holds a SwitchFrame whose return address is
+// itc_sim_fiber_enter. It calls the function in r13 with the pointer in r12
+// as its argument: Fiber::Trampoline and the Fiber. Its CFI marks the
+// return address undefined, so unwinders stop there.
+extern "C" {
+void itc_sim_fiber_switch(void** save_sp, void* load_sp);
+void itc_sim_fiber_enter();
+}
+
+asm(R"(
+  .pushsection .text
+  .p2align 4
+  .globl itc_sim_fiber_switch
+  .hidden itc_sim_fiber_switch
+  .type itc_sim_fiber_switch, @function
+itc_sim_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size itc_sim_fiber_switch, .-itc_sim_fiber_switch
+
+  .p2align 4
+  .globl itc_sim_fiber_enter
+  .hidden itc_sim_fiber_enter
+  .type itc_sim_fiber_enter, @function
+itc_sim_fiber_enter:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size itc_sim_fiber_enter, .-itc_sim_fiber_enter
+  .popsection
+)");
+
 namespace itc::sim {
 
 namespace {
+
+// What itc_sim_fiber_switch pops, lowest address first.
+struct SwitchFrame {
+  uint32_t mxcsr = 0;
+  uint16_t x87_control = 0;
+  uint16_t pad = 0;
+  void* r15 = nullptr;
+  void* r14 = nullptr;
+  void* r13 = nullptr;
+  void* r12 = nullptr;
+  void* rbx = nullptr;
+  void* rbp = nullptr;  // null ends a frame-pointer walk
+  void* ret = nullptr;
+};
+// The frame ends at the 16-byte-aligned stack top, so itc_sim_fiber_enter
+// runs with the stack aligned as the ABI requires before its call.
+static_assert(sizeof(SwitchFrame) % 16 == 0);
+
+// Clears stale shadow from a borrowed stack: an exited fiber leaves its
+// last frames poisoned, and no interceptor clears them on this switch.
+inline void AsanUnpoisonStack(const FiberStack* stack) {
+#if ITC_FIBER_ASAN
+  __asan_unpoison_memory_region(stack->limit, stack->size);
+#else
+  (void)stack;
+#endif
+}
 
 // `fake` saves the outgoing context's ASan fake-stack handle (nullptr when
 // the outgoing context is exiting for good, which tells ASan to free it);
@@ -103,8 +197,8 @@ inline void* TsanCurrentFiber() {
 #endif
 }
 
-// Called immediately before the swapcontext/setcontext that moves control to
-// the context `fiber` shadows.
+// Called immediately before the switch that moves control to the context
+// `fiber` shadows.
 inline void TsanSwitchToFiber(void* fiber) {
 #if ITC_FIBER_TSAN
   __tsan_switch_to_fiber(fiber, 0);
@@ -191,24 +285,24 @@ Fiber::~Fiber() {
 void Fiber::Start(Entry entry, void* arg) {
   ITC_CHECK(!started_ && stack_ == nullptr);
   stack_ = FiberStackPool::Instance().Acquire();
+  AsanUnpoisonStack(stack_);
   tsan_fiber_ = TsanCreateFiber();
   entry_ = entry;
   arg_ = arg;
   started_ = true;
-  ITC_CHECK(getcontext(&ctx_) == 0);
-  ctx_.uc_stack.ss_sp = stack_->limit;
-  ctx_.uc_stack.ss_size = stack_->size;
-  ctx_.uc_link = nullptr;  // the trampoline never returns; Exit() leaves explicitly
-  // makecontext only passes ints, so the Fiber* travels as two 32-bit halves
-  // (the classic libco/boost idiom; exact round-trip on every LP64 target).
-  const uintptr_t self = reinterpret_cast<uintptr_t>(this);
-  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::Trampoline), 2,
-              static_cast<unsigned>(self >> 32), static_cast<unsigned>(self & 0xffffffffu));
+  const uintptr_t top =
+      reinterpret_cast<uintptr_t>(stack_->limit + stack_->size) & ~uintptr_t{15};
+  auto* frame = reinterpret_cast<SwitchFrame*>(top - sizeof(SwitchFrame));
+  *frame = SwitchFrame{};
+  // The fiber starts with the starter's rounding and exception masks.
+  asm volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(frame->mxcsr), "=m"(frame->x87_control));
+  frame->r12 = this;
+  frame->r13 = reinterpret_cast<void*>(&Fiber::Trampoline);
+  frame->ret = reinterpret_cast<void*>(&itc_sim_fiber_enter);
+  sp_ = frame;
 }
 
-void Fiber::Trampoline(unsigned hi, unsigned lo) {
-  auto* f = reinterpret_cast<Fiber*>((static_cast<uintptr_t>(hi) << 32) |
-                                     static_cast<uintptr_t>(lo));
+void Fiber::Trampoline(Fiber* f) {
   // First time on this stack: no saved fake stack yet; learn the resumer's
   // bounds so Suspend/Exit can annotate switches back.
   AsanFinishSwitch(nullptr, &f->caller_stack_bottom_, &f->caller_stack_size_);
@@ -222,7 +316,7 @@ void Fiber::Resume() {
   AsanStartSwitch(&caller_fake, stack_->limit, stack_->size);
   tsan_caller_ = TsanCurrentFiber();
   TsanSwitchToFiber(tsan_fiber_);
-  ITC_CHECK(swapcontext(&caller_, &ctx_) == 0);
+  itc_sim_fiber_switch(&caller_sp_, sp_);
   // The fiber suspended or exited; we are back on the caller's stack.
   AsanFinishSwitch(caller_fake, nullptr, nullptr);
 }
@@ -230,7 +324,7 @@ void Fiber::Resume() {
 void Fiber::Suspend() {
   AsanStartSwitch(&self_fake_stack_, caller_stack_bottom_, caller_stack_size_);
   TsanSwitchToFiber(tsan_caller_);
-  ITC_CHECK(swapcontext(&ctx_, &caller_) == 0);
+  itc_sim_fiber_switch(&sp_, caller_sp_);
   // Resumed; refresh the resumer's bounds (a later Resume may come from a
   // different frame of the kernel loop).
   AsanFinishSwitch(self_fake_stack_, &caller_stack_bottom_, &caller_stack_size_);
@@ -244,7 +338,7 @@ void Fiber::Exit() {
   // The shadow context outlives this last switch; ReleaseStack (always on
   // the resumer's side) destroys it.
   TsanSwitchToFiber(tsan_caller_);
-  setcontext(&caller_);
+  itc_sim_fiber_switch(&sp_, caller_sp_);
   __builtin_unreachable();
 }
 

@@ -1,14 +1,23 @@
 // Pooled stackful fibers for the event kernel's user-space backend.
 //
-// A Fiber is a cooperative execution context (`ucontext_t` via
-// makecontext/swapcontext) whose stack comes from a process-wide pool and is
-// returned to it when the fiber exits — so steady-state simulation reuses a
-// small working set of stacks across activities and across kernel runs, and
-// the per-event suspension cost is a single user-space context switch with no
-// mutex, no condition variable, and no kernel scheduler involvement. This is
-// the LWP treatment the paper's revised Vice server applied to the real
-// system (§3.5.2): many lightweight contexts inside one process instead of a
-// process (here: an OS thread) per client.
+// A Fiber is a cooperative execution context whose stack comes from a
+// process-wide pool and is returned to it when the fiber exits — so
+// steady-state simulation reuses a small working set of stacks across
+// activities and across kernel runs. A switch is a hand-written x86-64 SysV
+// routine (fiber.cc) that saves only what a call must preserve: the
+// callee-saved registers, the MXCSR and the x87 control word. So the
+// per-event suspension cost is a few dozen instructions with no mutex, no
+// condition variable, no system call (libc's swapcontext, which this
+// replaced, spent most of its time in signal-mask system calls) and no
+// kernel scheduler involvement. This is the LWP treatment the paper's
+// revised Vice server applied to the real system (§3.5.2): many lightweight
+// contexts inside one process instead of a process (here: an OS thread) per
+// client.
+//
+// x86-64 only: fiber.cc stops the build with an #error on any other target.
+// fiber.cc is also compiled with -fcf-protection=none, so no binary that
+// links it is marked for user shadow stacks, under which a return onto
+// another stack faults (docs/KERNEL.md).
 //
 // Stack size is configurable via ITCFS_FIBER_STACK_KB (default 256 KB,
 // minimum 64 KB, read once at first use); each stack optionally carries a
@@ -20,19 +29,17 @@
 //
 // Sanitizers: under AddressSanitizer every switch is bracketed with
 // __sanitizer_start_switch_fiber/__sanitizer_finish_switch_fiber so ASan
-// tracks the active stack, and under ThreadSanitizer every fiber carries a
-// __tsan_create_fiber context with __tsan_switch_to_fiber called right
-// before each swapcontext, so TSan's shadow state follows execution across
-// stack switches instead of reporting phantom races between frames of the
-// same logical thread. Without a sanitizer the annotations compile to
-// nothing. The OS-thread kernel backend (KernelBackend::kThread) remains the
-// annotation-free reference implementation, and is what the TSan CI leg
-// pins.
+// tracks the active stack, and a borrowed stack's shadow is cleared at
+// Start; under ThreadSanitizer every fiber carries a __tsan_create_fiber
+// context with __tsan_switch_to_fiber called right before each switch, so
+// TSan's shadow state follows execution across stack switches instead of
+// reporting phantom races between frames of the same logical thread.
+// Without a sanitizer the annotations compile to nothing. The OS-thread
+// kernel backend (KernelBackend::kThread) remains the annotation-free
+// reference implementation, and is what the TSan CI leg pins.
 
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <mutex>
@@ -40,7 +47,7 @@
 namespace itc::sim {
 
 // One pooled stack mapping. `limit` is the lowest usable address (just above
-// the guard page when one is present); ucontext grows the stack down from
+// the guard page when one is present); a fiber's stack grows down from
 // limit + size. Pool-owned; fibers borrow via Acquire/Release.
 struct FiberStack {
   unsigned char* limit = nullptr;
@@ -94,9 +101,10 @@ class Fiber {
   Fiber(const Fiber&) = delete;
   Fiber& operator=(const Fiber&) = delete;
 
-  // Borrows a stack from the pool and prepares the context so the first
-  // Resume enters `entry(arg)`. When `entry` returns the fiber exits: the
-  // in-flight Resume returns and the stack may be released.
+  // Borrows a stack from the pool and lays out its first frame so the first
+  // Resume enters `entry(arg)`, with the starter's floating-point control
+  // state. When `entry` returns the fiber exits: the in-flight Resume
+  // returns and the stack may be released. `entry` must not throw.
   void Start(Entry entry, void* arg);
 
   // Transfers control into the fiber; returns when it suspends or exits.
@@ -113,11 +121,11 @@ class Fiber {
   bool exited() const { return exited_; }
 
  private:
-  static void Trampoline(unsigned hi, unsigned lo);
+  [[noreturn]] static void Trampoline(Fiber* self);
   [[noreturn]] void Exit();
 
-  ucontext_t ctx_{};     // the fiber's context while suspended
-  ucontext_t caller_{};  // where Resume came from, while the fiber runs
+  void* sp_ = nullptr;         // the fiber's saved stack pointer while suspended
+  void* caller_sp_ = nullptr;  // the resumer's, while the fiber runs
   FiberStack* stack_ = nullptr;
   Entry entry_ = nullptr;
   void* arg_ = nullptr;

@@ -315,11 +315,6 @@ Result<Bytes> FileSystem::ReadFile(std::string_view path) const {
   return ReadFileByInode(n);
 }
 
-Result<content::Ref> FileSystem::ReadFileRef(std::string_view path) const {
-  ASSIGN_OR_RETURN(InodeNum n, Resolve(path));
-  return ReadRefByInode(n);
-}
-
 Status FileSystem::WriteFile(std::string_view path, const Bytes& data) {
   // Canonicalizing on every write keeps cached copies of synthetic files
   // lazy: bytes collapse back to a ref the moment they come to rest.

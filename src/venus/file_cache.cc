@@ -47,7 +47,12 @@ CacheEntry& FileCache::InstallData(const Fid& fid, const vice::VnodeStatus& stat
   // dirty mark would make FlushDirty re-store the server's own bytes.
   e.dirty = false;
   e.accounted_bytes = data.size();
-  ITC_CHECK(local_fs_->WriteFileRef(PathFor(fid), std::move(data)) == Status::kOk);
+  if (e.inode == 0) {
+    auto created = local_fs_->Create(PathFor(fid));
+    ITC_CHECK(created.ok());
+    e.inode = *created;
+  }
+  ITC_CHECK(local_fs_->WriteFileByInode(e.inode, std::move(data)) == Status::kOk);
   data_bytes_ += e.accounted_bytes;
   stats_.insertions += 1;
   return e;
@@ -56,19 +61,19 @@ CacheEntry& FileCache::InstallData(const Fid& fid, const vice::VnodeStatus& stat
 Result<Bytes> FileCache::ReadData(const Fid& fid) const {
   const CacheEntry* e = Find(fid);
   if (e == nullptr || !e->has_data) return Status::kNotFound;
-  return local_fs_->ReadFile(PathFor(fid));
+  return local_fs_->ReadFileByInode(e->inode);
 }
 
 Result<content::Ref> FileCache::ReadRef(const Fid& fid) const {
   const CacheEntry* e = Find(fid);
   if (e == nullptr || !e->has_data) return Status::kNotFound;
-  return local_fs_->ReadFileRef(PathFor(fid));
+  return local_fs_->ReadRefByInode(e->inode);
 }
 
 Status FileCache::WriteData(const Fid& fid, const Bytes& data) {
   CacheEntry* e = Find(fid);
   if (e == nullptr || !e->has_data) return Status::kNotFound;
-  RETURN_IF_ERROR(local_fs_->WriteFile(PathFor(fid), data));
+  RETURN_IF_ERROR(local_fs_->WriteFileByInode(e->inode, content::Ref::Canonicalize(data)));
   data_bytes_ -= e->accounted_bytes;
   e->accounted_bytes = data.size();
   data_bytes_ += e->accounted_bytes;

@@ -5,10 +5,15 @@
 //
 // Cached copies live as ordinary files in the workstation's local Unix file
 // system under a cache directory, named by fid — exactly the prototype's
-// representation. The cache tracks, per fid: the Vice status, whether data
-// is present and believed valid, whether a deferred write is pending, and
-// LRU recency. Eviction honours either the prototype's file-count limit or
-// the revised space limit.
+// representation. The cache tracks, per fid: the Vice status, the local
+// inode of the cached copy, whether data is present and believed valid,
+// whether a deferred write is pending, and LRU recency. Eviction honours
+// either the prototype's file-count limit or the revised space limit.
+//
+// A copy's path is used twice: to create it at first install and to unlink
+// it at erase. Every read and write in between reaches it by its inode, the
+// way the revised Vice server reaches files "via their low-level
+// identifiers rather than their full Unix pathnames" (Section 3.5.1).
 
 #ifndef SRC_VENUS_FILE_CACHE_H_
 #define SRC_VENUS_FILE_CACHE_H_
@@ -28,6 +33,8 @@ namespace itc::venus {
 
 struct CacheEntry {
   vice::VnodeStatus status;
+  // The cached copy in the local file system; set while has_data.
+  unixfs::InodeNum inode = 0;
   bool has_data = false;
   // Data (and status) known to be current: freshly fetched, validated this
   // open (check-on-open), or covered by an unbroken callback promise.
@@ -70,7 +77,8 @@ class FileCache {
   CacheEntry& PutStatus(const Fid& fid, const vice::VnodeStatus& status);
 
   // Installs whole-file data for a fid, writing the local cache copy (the
-  // fetched ref itself, not a copy of its bytes). Returns the entry; caller
+  // fetched ref itself, not a copy of its bytes); the first install creates
+  // the copy, later ones overwrite it by inode. Returns the entry; caller
   // must then call EnforceLimits and notify the custodian about any evicted
   // fids.
   CacheEntry& InstallData(const Fid& fid, const vice::VnodeStatus& status, content::Ref data);
@@ -112,9 +120,10 @@ class FileCache {
   // All fids currently cached (diagnostics / tests).
   std::vector<Fid> CachedFids() const;
 
-  // Local unixfs path of the cached copy for `fid`. Derived from the fid on
-  // demand rather than stored per entry — at 10k clients the per-entry path
-  // strings alone were a measurable share of Venus's footprint.
+  // Local unixfs path of the cached copy for `fid`, used only to create and
+  // unlink it. Derived from the fid on demand rather than stored per entry —
+  // at 10k clients the per-entry path strings alone were a measurable share
+  // of Venus's footprint.
   std::string PathFor(const Fid& fid) const;
 
  private:

@@ -651,7 +651,7 @@ Result<Venus::OpenResult> Venus::Open(const std::string& path, bool for_write, b
     e.origin_server = last_contacted_;
     cache_.Touch(fid, clock_->now());
     cache_.Pin(fid);
-    return OpenResult{fid, status, cache_.PathFor(fid)};
+    return OpenResult{fid, status, e.inode};
   };
 
   auto resolved = ResolveFinal(path, for_write, /*follow_final=*/true);
@@ -689,13 +689,13 @@ Result<Venus::OpenResult> Venus::Open(const std::string& path, bool for_write, b
     if (!entry.ok()) return entry.status();
     if (hit) stats_.cache_hits += 1;
     cache_.Pin(*fresh);
-    return OpenResult{*fresh, (*entry)->status, cache_.PathFor(*fresh)};
+    return OpenResult{*fresh, (*entry)->status, (*entry)->inode};
   }
   if (!entry.ok()) return entry.status();
   if ((*entry)->status.type == vice::VnodeType::kDirectory) return Status::kIsDirectory;
   if (hit) stats_.cache_hits += 1;
   cache_.Pin(fid);
-  return OpenResult{fid, (*entry)->status, cache_.PathFor(fid)};
+  return OpenResult{fid, (*entry)->status, (*entry)->inode};
 }
 
 Status Venus::Close(const Fid& fid, bool dirty) {

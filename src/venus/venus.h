@@ -83,13 +83,13 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   struct OpenResult {
     Fid fid;
     vice::VnodeStatus status;
-    std::string cache_path;  // local path of the cached copy
+    unixfs::InodeNum inode = 0;  // the cached copy in the local file system
   };
 
   // Opens a Vice file. for_write selects the read-write volume even when a
   // read-only replica exists. create makes the file (parent needs Insert).
-  // The returned cache_path is a local file the caller reads/writes; the
-  // entry stays pinned until Close.
+  // The returned inode is the local file the caller reads/writes; the entry
+  // stays pinned until Close.
   ITC_KERNEL_ENTRY [[nodiscard]] Result<OpenResult> Open(const std::string& path, bool for_write, bool create);
 
   // Closes an open file. If `dirty`, the cached copy is stored back to the

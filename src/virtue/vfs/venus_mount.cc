@@ -20,15 +20,14 @@ Result<MountedOpen> VenusMount::Open(const std::string& rel, uint32_t flags) {
   ASSIGN_OR_RETURN(venus::Venus::OpenResult open,
                    venus_->Open(rel, writable, (flags & kCreate) != 0));
   clock_->Advance(cost_.local_open);  // opening the cached copy
-  ASSIGN_OR_RETURN(unixfs::InodeNum inode, cache_fs_->Resolve(open.cache_path));
 
   MountedOpen mo;
   if (writable && (flags & kTruncate) != 0) {
-    RETURN_IF_ERROR(cache_fs_->Truncate(inode, 0));
+    RETURN_IF_ERROR(cache_fs_->Truncate(open.inode, 0));
     mo.dirty = true;
   }
   mo.token = next_token_++;
-  open_[mo.token] = OpenToken{open.fid, inode};
+  open_[mo.token] = OpenToken{open.fid, open.inode};
   return mo;
 }
 

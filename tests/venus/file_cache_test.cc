@@ -174,18 +174,34 @@ TEST_F(FileCacheTest, WriteDataUpdatesAccounting) {
 }
 
 TEST_F(FileCacheTest, PathForDerivesTheLocalPathFromTheFid) {
-  // Regression: entries no longer store a cache_path string; the local path
-  // is derived from the fid on demand and must be stable across the entry's
-  // whole lifetime (install, read, write, erase all address the same file).
+  // Regression: entries store no cache_path string; the local path is
+  // derived from the fid on demand and names the copy the first install
+  // creates. From then on every access reaches the inode recorded then, even
+  // with the copy moved away from its path, and Erase unlinks that file.
   auto cache = MakeCache(VenusConfig::CacheLimit::kSpace, 1 << 20, 100);
   const Fid fid{7, 42, 9};
   EXPECT_EQ(cache.PathFor(fid), "/cache/7.42.9");
   cache.InstallData(fid, StatusFor(fid, 3), content::Ref::Inline(ToBytes("abc")));
-  EXPECT_TRUE(fs_.Stat(cache.PathFor(fid)).ok());
+  const unixfs::InodeNum inode = cache.Find(fid)->inode;
+  auto at_path = fs_.Resolve(cache.PathFor(fid));
+  ASSERT_TRUE(at_path.ok());
+  EXPECT_EQ(*at_path, inode);
+
+  ASSERT_EQ(fs_.Rename(cache.PathFor(fid), "/moved"), Status::kOk);
+  cache.InstallData(fid, StatusFor(fid, 2), content::Ref::Inline(ToBytes("de")));
+  EXPECT_EQ(cache.Find(fid)->inode, inode);
+  EXPECT_EQ(ToString(*fs_.ReadFileByInode(inode)), "de");
   ASSERT_EQ(cache.WriteData(fid, ToBytes("abcd")), Status::kOk);
-  EXPECT_EQ(ToString(*fs_.ReadFile(cache.PathFor(fid))), "abcd");
+  EXPECT_EQ(ToString(*fs_.ReadFileByInode(inode)), "abcd");
+  ASSERT_EQ(fs_.WriteFileByInode(inode, content::Ref::Inline(ToBytes("local"))), Status::kOk);
+  EXPECT_EQ(ToString(*cache.ReadData(fid)), "local");
+  EXPECT_EQ(ToString(cache.ReadRef(fid)->Materialize()), "local");
+  EXPECT_FALSE(fs_.Stat(cache.PathFor(fid)).ok());  // nothing went by path
+
+  ASSERT_EQ(fs_.Rename("/moved", cache.PathFor(fid)), Status::kOk);
   cache.Erase(fid);
   EXPECT_FALSE(fs_.Stat(cache.PathFor(fid)).ok());
+  EXPECT_EQ(fs_.StatInode(inode).status(), Status::kNotFound);
 }
 
 TEST_F(FileCacheTest, EvictionRemovesDerivedFilesAndKeepsAccountingExact) {

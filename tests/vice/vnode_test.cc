@@ -130,11 +130,18 @@ TEST(DirectoryLookupTest, MalformedBuffersFailAlike) {
   bad_kind[2].kind = 4;  // past "bin": a lookup must not stop at its match
   Bytes trailing = Encode(3, kThree);
   trailing.push_back(0);
+  // The second entry's name length reads 0xFFFFFFF0: a bounds check summed
+  // in 32 bits wraps it to a few bytes and reads far past the buffer.
+  Bytes huge_name = Encode(3, kThree);
+  const size_t second = 4 + 4 + kThree[0].name.size() + 1 + 12 + 4;
+  huge_name[second] = 0xF0;
+  for (size_t i = 1; i < 4; ++i) huge_name[second + i] = 0xFF;
   const std::vector<Bytes> buffers = {
       Encode(3, bad_kind),
       trailing,
       Encode(4, kThree),  // count promises an entry that is not there
       Encode(2, kThree),  // the third entry is trailing bytes
+      huge_name,
   };
   for (const Bytes& data : buffers) {
     ASSERT_EQ(DeserializeDirectory(data).status(), Status::kProtocolError);
