@@ -152,7 +152,7 @@ Row RunDay(sim::KernelBackend backend, uint32_t clients, uint32_t ops) {
 // clusters — and the system volume is released read-only everywhere so the
 // day's traffic stays cluster-local (the locality configuration the cluster
 // design targets, and the one the equivalence test proves bit-identical).
-Row RunShardedArm(const char* workload, sim::SchedulerMode mode, uint32_t shards) {
+Row RunShardedArm(const char* workload, uint32_t shards) {
   constexpr uint32_t kClusters = 8;
   constexpr uint32_t kPerCluster = 8;
   constexpr uint32_t kOps = 200;
@@ -160,8 +160,7 @@ Row RunShardedArm(const char* workload, sim::SchedulerMode mode, uint32_t shards
   config.campus = campus::CampusConfig::Revised(kClusters, kPerCluster);
   config.campus.rpc.encrypt = false;  // same rationale as RunDay
   config.replicate_system_volume = true;
-  config.scheduler_mode = mode;
-  config.shard_count = mode == sim::SchedulerMode::kSharded ? shards : 0;
+  config.shard_count = shards;
   config.user_day.operations = kOps;
   config.user_day.mean_think = Seconds(2);
   config.kernel_backend = sim::KernelBackend::kFiber;
@@ -180,7 +179,7 @@ Row RunShardedArm(const char* workload, sim::SchedulerMode mode, uint32_t shards
   r.backend = sim::KernelBackendName(config.kernel_backend);
   r.clients = kClusters * kPerCluster;
   r.ops_per_client = kOps;
-  r.shards = mode == sim::SchedulerMode::kSharded ? shards : 1;
+  r.shards = shards;
   r.events = lab.last_kernel_events();
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.events_per_sec = r.wall_ms > 0 ? 1000.0 * static_cast<double>(r.events) / r.wall_ms : 0;
@@ -336,14 +335,14 @@ int main(int argc, char** argv) {
   std::printf("%8s %8s %6s %10s %10s %14s %10s %14s\n", "shards", "clients", "ops", "events",
               "wall ms", "events/sec", "rss MB", "ev/OS-switch");
   constexpr uint32_t kShardArmShards = 8;
-  rows.push_back(RunShardedArm("shardsolo", sim::SchedulerMode::kEventDriven, 1));
+  rows.push_back(RunShardedArm("shardsolo", 1));
   const Row& solo = rows.back();
   std::printf("%8u %8u %6u %10llu %10.1f %14.0f %10.1f %14.1f\n", solo.shards, solo.clients,
               solo.ops_per_client, static_cast<unsigned long long>(solo.events), solo.wall_ms,
               solo.events_per_sec, solo.peak_rss_kb / 1024.0, solo.events_per_os_switch);
   const double solo_wall_ms = solo.wall_ms;
   const double solo_sim_end = solo.sim_end_s;
-  rows.push_back(RunShardedArm("sharded", sim::SchedulerMode::kSharded, kShardArmShards));
+  rows.push_back(RunShardedArm("sharded", kShardArmShards));
   const Row& shd = rows.back();
   std::printf("%8u %8u %6u %10llu %10.1f %14.0f %10.1f %14.1f\n", shd.shards, shd.clients,
               shd.ops_per_client, static_cast<unsigned long long>(shd.events), shd.wall_ms,

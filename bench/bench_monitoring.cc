@@ -48,9 +48,7 @@ DayResult RunDay(campus::Campus& campus,
       static_cast<double>(campus.network().stats().cross_cluster_bytes) / (1 << 20);
   venus::VenusStats total;
   for (uint32_t w = 0; w < campus.workstation_count(); ++w) {
-    const auto& s = campus.workstation(w).venus().stats();
-    total.opens += s.opens;
-    total.open_time_total += s.open_time_total;
+    total += campus.workstation(w).venus().stats();
   }
   r.open_ms = total.MeanOpenLatency() / 1000.0;
   return r;

@@ -11,9 +11,9 @@
 // server, reporting mean open latency and server CPU utilization — the knee
 // appears as the CPU saturates. A final row adds one "intense" user (no
 // think time, cold cache) to 19 normal ones to reproduce the everyone-
-// suffers effect.
-
-#include <cstdlib>
+// suffers effect. The Section 1 target scale (10,000 workstations on the
+// revised campus) runs once, in bench_memory_per_client, which prints this
+// bench's columns for it.
 
 #include "bench/harness.h"
 
@@ -27,40 +27,6 @@ struct RowResult {
   double open_ms;
   double hit_ratio;
 };
-
-// The paper's target scale (Section 1: "5000 to 10000 workstations"), run as
-// one campus: 400 clusters x 25 workstations, one server per cluster, one
-// kernel per cluster (sharded conservative sync), system volume replicated
-// read-only everywhere so the day stays cluster-local. Affordable on one
-// host only because populated/cached file contents are lazy refs
-// (src/common/content.h) — see bench_memory_per_client for the budgets.
-struct CampusRow {
-  uint32_t clients;
-  double cpu_util;
-  double open_ms;
-  double hit_ratio;
-  long peak_rss_kb;
-};
-
-CampusRow RunCampusScale(uint32_t clusters, uint32_t per_cluster, uint32_t ops) {
-  UserDayLabConfig config;
-  config.campus = campus::CampusConfig::Revised(clusters, per_cluster);
-  config.campus.rpc.encrypt = false;  // host CPU saving only
-  config.replicate_system_volume = true;
-  config.scheduler_mode = sim::SchedulerMode::kSharded;
-  // 400 cluster domains fold onto 8 kernels (one per reference-runner core);
-  // shard count cannot affect simulated results (ShardEquivalence suite).
-  config.shard_count = 8;
-  config.user_day.operations = ops;
-  config.user_day.mean_think = Seconds(10);
-  ResetPeakRss();
-  UserDayLab lab(config);
-  const SimTime end = lab.Run();
-  const auto stats = lab.TotalVenusStats();
-  return CampusRow{clusters * per_cluster, lab.ServerCpuUtilization(end),
-                   stats.MeanOpenLatency() / 1000.0, stats.HitRatio(),
-                   ReadPeakRssKb()};
-}
 
 RowResult RunDay(uint32_t clients) {
   UserDayLabConfig config;
@@ -111,10 +77,7 @@ RowResult RunDayWithHogs(uint32_t normal, uint32_t hogs) {
   // Report the experience of the NORMAL users only.
   venus::VenusStats normal_stats;
   for (uint32_t w = hogs; w < lab.campus().workstation_count(); ++w) {
-    const auto& s = lab.campus().workstation(w).venus().stats();
-    normal_stats.opens += s.opens;
-    normal_stats.open_time_total += s.open_time_total;
-    normal_stats.cache_hits += s.cache_hits;
+    normal_stats += lab.campus().workstation(w).venus().stats();
   }
   double busy = static_cast<double>(lab.campus().server(0).endpoint().cpu().busy_time());
   return RowResult{busy / static_cast<double>(end),
@@ -150,19 +113,5 @@ int main() {
               "(the knee sits near the paper's 20 clients/server operating point),\n"
               "and one intense user measurably degrades every other user.\n");
 
-  // Section 1 target scale, revised system. Skippable for quick local runs
-  // (ITCFS_E5_CAMPUS=0): the row costs minutes of wall clock, all of it
-  // campus construction and population.
-  const char* campus_env = std::getenv("ITCFS_E5_CAMPUS");
-  if (campus_env == nullptr || campus_env[0] != '0') {
-    PrintSection("campus scale: 10,000 workstations, 400 clusters, sharded kernels");
-    const CampusRow big = RunCampusScale(400, 25, /*ops=*/4);
-    std::printf("%10u %9.1f%% %13.0f ms %9.1f%%   peak RSS %ld KB\n", big.clients,
-                100.0 * big.cpu_util, big.open_ms, 100.0 * big.hit_ratio,
-                big.peak_rss_kb);
-    std::printf("\nat 25 clients/server the revised system holds every cluster at\n"
-                "timesharing-grade latency simultaneously; host memory, not simulated\n"
-                "cost, is the scale limiter (see bench_memory_per_client).\n");
-  }
   return 0;
 }

@@ -162,7 +162,6 @@ UserDayLab::UserDayLab(UserDayLabConfig config) : config_(std::move(config)) {
 
 SimTime UserDayLab::Run() {
   sim::Scheduler sched;
-  sched.set_mode(config_.scheduler_mode);
   sched.set_backend(config_.kernel_backend);
   sched.set_shard_count(config_.shard_count);
   sched.set_lookahead(config_.campus.cost.BackboneLookahead());
@@ -180,22 +179,7 @@ SimTime UserDayLab::Run() {
 venus::VenusStats UserDayLab::TotalVenusStats() const {
   venus::VenusStats total;
   for (uint32_t w = 0; w < campus_->workstation_count(); ++w) {
-    const auto& s = const_cast<campus::Campus&>(*campus_).workstation(w).venus().stats();
-    total.opens += s.opens;
-    total.cache_hits += s.cache_hits;
-    total.fetches += s.fetches;
-    total.stores += s.stores;
-    total.validations += s.validations;
-    total.stat_calls += s.stat_calls;
-    total.bytes_fetched += s.bytes_fetched;
-    total.bytes_stored += s.bytes_stored;
-    total.callback_breaks_received += s.callback_breaks_received;
-    total.suspect_marks += s.suspect_marks;
-    total.lease_grants += s.lease_grants;
-    total.lease_renew_calls += s.lease_renew_calls;
-    total.leases_renewed += s.leases_renewed;
-    total.leases_rejected += s.leases_rejected;
-    total.open_time_total += s.open_time_total;
+    total += const_cast<campus::Campus&>(*campus_).workstation(w).venus().stats();
   }
   return total;
 }

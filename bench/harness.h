@@ -55,15 +55,12 @@ struct UserDayLabConfig {
   workload::UserDayConfig user_day;
   bool replicate_system_volume = false;
   uint64_t seed = 20251985;
-  // Event-driven (arrival-order) by default; bench_kernel_fidelity runs the
-  // same day under the conservative call-order baseline to measure its error.
-  sim::SchedulerMode scheduler_mode = sim::SchedulerMode::kEventDriven;
   // Fiber by default; bench_kernel_throughput runs both to compare wall-clock
   // cost. Backend choice cannot affect simulated results (docs/KERNEL.md).
   sim::KernelBackend kernel_backend = sim::DefaultKernelBackend();
-  // kSharded only: shards to run (0 = one per cluster, clamped by
-  // ITCFS_SHARDS). Shard count cannot affect simulated results either.
-  uint32_t shard_count = 0;
+  // Shards to run the day on, at most one per cluster (1 = the solo
+  // kernel). Shard count cannot affect simulated results either.
+  uint32_t shard_count = 1;
 };
 
 class UserDayLab {

@@ -4,8 +4,8 @@
 // event heap, the virtual clock, the trace ring, and — through the
 // activities it schedules — the functional state those activities mutate
 // (resources, network partitions, server volumes). Under the sharded
-// runtime (sim::KernelGroup, SchedulerMode::kSharded) there is one kernel
-// per cluster, each on its own OS thread, and a touch from outside the
+// runtime (sim::KernelGroup, more than one shard) there is one kernel
+// per shard, each on its own OS thread, and a touch from outside the
 // owning shard is a data race, not just a style violation.
 //
 // These macros make the domain machine-checkable. They expand to nothing —

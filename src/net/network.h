@@ -9,7 +9,7 @@
 // replication) measurable.
 //
 // Sharded operation: when the calling activity runs inside a
-// sim::KernelGroup (SchedulerMode::kSharded), cluster segments are
+// sim::KernelGroup (more than one shard), cluster segments are
 // shard-local resources and a cross-cluster Transfer *migrates the calling
 // activity* to the destination cluster's shard: it pays the source segment
 // locally, crosses the backbone at fixed (uncontended) transmission

@@ -230,7 +230,7 @@ class ServerEndpoint {
                            std::optional<Bulk>* bulk = nullptr);
 
   // Called from the client connection's destructor, i.e. potentially from
-  // the client's shard. Known cross-shard touch under kSharded: a mid-run
+  // the client's shard. Known cross-shard touch when sharded: a mid-run
   // teardown erases server-side state from the client's thread. Today every
   // connection teardown in the tree happens quiescently (prologue/epilogue,
   // crash orchestration) or on the server's own shard; the lint rule keeps

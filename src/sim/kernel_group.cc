@@ -2,25 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "src/common/logging.h"
 
 namespace itc::sim {
-
-uint32_t DefaultShardCount(uint32_t domains) {
-  static const uint32_t env_shards = [] {
-    const char* env = std::getenv("ITCFS_SHARDS");
-    if (env == nullptr || *env == '\0') return 0u;
-    const long v = std::strtol(env, nullptr, 10);
-    return v <= 0 ? 0u : static_cast<uint32_t>(v);
-  }();
-  if (domains == 0) return 1;
-  const uint32_t want = env_shards == 0 ? domains : env_shards;
-  return std::max(1u, std::min(want, domains));
-}
 
 KernelGroup::KernelGroup(uint32_t shard_count, KernelBackend backend, SimTime lookahead)
     : backend_(backend), lookahead_(lookahead) {
@@ -104,7 +91,11 @@ uint64_t KernelGroup::events_dispatched() const {
 
 SimTime KernelGroup::EffectiveBound(uint32_t i) const {
   const Kernel& k = *shards_[i];
-  return std::min(k.lb_.load(), k.mail_min_.load());
+  // Mailbox first: DrainMail lowers lb_ to the taken timestamps before it
+  // clears mail_min_, so a cleared mailbox read here implies the lowered
+  // bound below. In the other order a drain between the loads hides both.
+  const SimTime mail = k.mail_min_.load();
+  return std::min(k.lb_.load(), mail);
 }
 
 SimTime KernelGroup::SafeHorizon(uint32_t self) const {
@@ -131,19 +122,24 @@ KernelGroup::Gate KernelGroup::AwaitSafe(uint32_t shard, SimTime t_next) {
   int spins = 0;
   for (;;) {
     if (terminated_.load()) return Gate::kDone;
+    // Every cross-shard send publishes the receiver's mailbox minimum
+    // *before* bumping the messages-sent counter, and only afterwards may
+    // the sender's own bound rise. So a scan of the shards' bounds that
+    // sees the counter unchanged on both sides missed no handoff: one in
+    // flight either shows up in a mailbox it read or keeps its sender's
+    // bound at or below the send. Without that check, a scan could read
+    // the receiver before the mail landed and the sender after its bound
+    // rose, and open a horizon past the message's consequences.
+    const uint64_t sent_before = msgs_sent_.load();
     if (me.mail_min_.load() != kNeverSimTime) return Gate::kRetry;
     if (t_next != kNeverSimTime) {
       // Single-shard groups have an unbounded horizon and never block here.
-      if (t_next < SafeHorizon(shard)) return Gate::kDispatch;
+      if (t_next < SafeHorizon(shard) && msgs_sent_.load() == sent_before) {
+        return Gate::kDispatch;
+      }
     } else {
       // This shard is idle. Claim termination only if every shard is idle
-      // and the messages-sent counter is stable across the scan: every
-      // cross-shard send publishes the receiver's mailbox minimum *before*
-      // bumping the counter, and only afterwards may the sender's own bound
-      // rise — so a handoff in flight during the scan either shows up in a
-      // mailbox we read, keeps its sender's bound finite, or moves the
-      // counter between the two reads.
-      const uint64_t sent_before = msgs_sent_.load();
+      // across a scan with the counter stable (the same argument as above).
       if (AllIdle()) {
         if (msgs_sent_.load() == sent_before && AllIdle()) {
           terminated_.store(true);

@@ -57,11 +57,6 @@
 
 namespace itc::sim {
 
-// Shard count for a topology of `domains` clusters: one shard per cluster,
-// clamped by the ITCFS_SHARDS environment variable (read once; 0 or unset
-// means "one per cluster") and by the domain count itself.
-uint32_t DefaultShardCount(uint32_t domains);
-
 class KernelGroup {
  public:
   // `lookahead` is the minimum virtual-time distance of any cross-shard

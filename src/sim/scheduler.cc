@@ -16,30 +16,30 @@ constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 SimTime Scheduler::RunAll() { return RunUntil(kForever); }
 
 SimTime Scheduler::RunUntil(SimTime horizon) {
-  switch (mode_) {
-    case SchedulerMode::kEventDriven:
-      return RunEventDriven(horizon);
-    case SchedulerMode::kSharded:
-      return RunSharded(horizon);
-    case SchedulerMode::kConservative:
-      break;
-  }
-  return RunConservative(horizon);
-}
-
-SimTime Scheduler::RunSharded(SimTime horizon) {
+  ITC_CHECK(shard_count_ >= 1);
   uint32_t domains = 1;
   for (uint32_t d : domains_) domains = std::max(domains, d + 1);
-  const uint32_t shards =
-      shard_count_ == 0 ? DefaultShardCount(domains)
-                        : std::max(1u, std::min(shard_count_, domains));
+  shards_used_ = std::min(shard_count_, domains);
+  if (shards_used_ == 1) {
+    RunSolo(horizon);
+  } else {
+    RunSharded(horizon);
+  }
+
+  SimTime latest = 0;
+  for (Process* p : processes_) {
+    latest = std::max(latest, std::min(p->now(), horizon));
+  }
+  return latest;
+}
+
+void Scheduler::RunSharded(SimTime horizon) {
   ITC_CHECK(lookahead_ > 0);  // set_lookahead(cost.BackboneLookahead()) first
-  KernelGroup group(shards, backend_, lookahead_);
-  shards_used_ = group.shard_count();
+  KernelGroup group(shards_used_, backend_, lookahead_);
   if (trace_enabled_) group.EnableTrace(trace_capacity_);
   for (size_t i = 0; i < processes_.size(); ++i) {
     Process* p = processes_[i];
-    // Same loop body as RunEventDriven, but through sim::AlignTo: after a
+    // Same loop body as RunSolo, but through sim::AlignTo: after a
     // cross-shard migration the activity must realign on whichever kernel
     // is hosting it, not the one it was spawned on.
     group.Spawn(domains_[i], "p" + std::to_string(i), p->now(), [p, horizon] {
@@ -57,15 +57,9 @@ SimTime Scheduler::RunSharded(SimTime horizon) {
       shard_traces_.push_back(group.shard_trace(s));
     }
   }
-
-  SimTime latest = 0;
-  for (Process* p : processes_) {
-    latest = std::max(latest, std::min(p->now(), horizon));
-  }
-  return latest;
 }
 
-SimTime Scheduler::RunEventDriven(SimTime horizon) {
+void Scheduler::RunSolo(SimTime horizon) {
   Kernel kernel(backend_);
   if (trace_enabled_) kernel.EnableTrace(trace_capacity_);
   for (size_t i = 0; i < processes_.size(); ++i) {
@@ -83,30 +77,6 @@ SimTime Scheduler::RunEventDriven(SimTime horizon) {
   kernel.Run();
   last_events_ = kernel.events_dispatched();
   if (trace_enabled_) trace_ = kernel.trace();
-
-  SimTime latest = 0;
-  for (Process* p : processes_) {
-    latest = std::max(latest, std::min(p->now(), horizon));
-  }
-  return latest;
-}
-
-SimTime Scheduler::RunConservative(SimTime horizon) {
-  SimTime latest = 0;
-  for (;;) {
-    Process* next = nullptr;
-    for (Process* p : processes_) {
-      if (p->done() || p->now() >= horizon) continue;
-      if (next == nullptr || p->now() < next->now()) next = p;
-    }
-    if (next == nullptr) break;
-    next->Step();
-    latest = std::max(latest, std::min(next->now(), horizon));
-  }
-  for (Process* p : processes_) {
-    latest = std::max(latest, std::min(p->now(), horizon));
-  }
-  return latest;
 }
 
 }  // namespace itc::sim

@@ -43,7 +43,32 @@ struct VenusStats {
     return opens == 0 ? 0.0
                       : static_cast<double>(cache_hits) / static_cast<double>(opens);
   }
+
+  // Field-by-field sum, for totals over workstations.
+  VenusStats& operator+=(const VenusStats& o) {
+    opens += o.opens;
+    cache_hits += o.cache_hits;
+    fetches += o.fetches;
+    stores += o.stores;
+    validations += o.validations;
+    stat_calls += o.stat_calls;
+    bytes_fetched += o.bytes_fetched;
+    bytes_stored += o.bytes_stored;
+    callback_breaks_received += o.callback_breaks_received;
+    suspect_marks += o.suspect_marks;
+    lease_grants += o.lease_grants;
+    lease_renew_calls += o.lease_renew_calls;
+    leases_renewed += o.leases_renewed;
+    leases_rejected += o.leases_rejected;
+    open_time_total += o.open_time_total;
+    return *this;
+  }
 };
+
+// A field added to VenusStats must join operator+= above; this fails the
+// build until it does (and the count here is raised with it).
+static_assert(sizeof(VenusStats) == 15 * sizeof(uint64_t),
+              "VenusStats changed: update operator+= and this count");
 
 }  // namespace itc::venus
 

@@ -68,10 +68,10 @@ class SyntheticUser : public sim::Process {
 
   // sim::Process. Under the event kernel each Step() runs inside an
   // activity and suspends at every resource arrival, so queueing is exact
-  // regardless of step granularity. Stepping is still two-phase — one step
-  // advances think time, the next performs the file operation — which keeps
-  // the retained conservative baseline (bench_kernel_fidelity) ordering
-  // clients by post-think arrival rather than pre-think time.
+  // regardless of step granularity. Stepping is two-phase — one step
+  // advances think time, the next performs the file operation — so the
+  // operation runs only after the kernel has re-aligned this activity to
+  // its post-think clock.
   SimTime now() const override { return ws_->clock().now(); }
   bool done() const override { return ops_done_ >= config_.operations; }
   void Step() override;

@@ -1,6 +1,7 @@
-// Shard-equivalence: the same multi-cluster campus day replayed under
-// SchedulerMode::kEventDriven (one kernel) and SchedulerMode::kSharded (one
-// kernel per cluster, one OS thread each) produces the same simulation.
+// Shard-equivalence: the same multi-cluster campus day replayed on the solo
+// kernel (one shard) and on a kernel group (one kernel per shard, one OS
+// thread each) produces the same simulation, whether each cluster gets its
+// own shard or several clusters fold onto one.
 //
 // The workload is the locality configuration the paper's cluster design
 // targets: every user's home volume lives on the server in their own
@@ -8,12 +9,13 @@
 // server, so the day's traffic never crosses the backbone. For such days
 // docs/KERNEL.md promises bit-identical intra-cluster event sequences: the
 // (virtual time, activity) dispatch subsequence of each cluster under the
-// solo kernel equals that cluster's shard trace under kSharded, for any
-// shard placement and either parking backend. End-of-day filesystem state
+// solo kernel equals that cluster's subsequence of its shard's trace, for
+// any shard count and either parking backend. End-of-day filesystem state
 // and client/server statistics must agree exactly as well.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -45,7 +47,7 @@ struct DayResult {
   std::map<vice::CallClass, uint64_t> call_histogram;
 };
 
-DayResult RunDay(sim::SchedulerMode mode, sim::KernelBackend backend) {
+DayResult RunDay(uint32_t shards, sim::KernelBackend backend) {
   campus::CampusConfig config =
       campus::CampusConfig::Revised(kClusters, kWorkstationsPerCluster);
   config.seed = kSeed;
@@ -99,7 +101,7 @@ DayResult RunDay(sim::SchedulerMode mode, sim::KernelBackend backend) {
   }
 
   sim::Scheduler sched;
-  sched.set_mode(mode);
+  sched.set_shard_count(shards);
   sched.set_backend(backend);
   sched.set_lookahead(config.cost.BackboneLookahead());
   // Large enough that the ring never wraps for this day (~40k dispatches);
@@ -112,34 +114,29 @@ DayResult RunDay(sim::SchedulerMode mode, sim::KernelBackend backend) {
   DayResult result;
   result.end = sched.RunAll();
 
-  // Project the dispatch order onto clusters. Solo: filter the one global
-  // trace by the owning cluster of each "p<w>" activity. Sharded: each
-  // shard's trace is already one cluster's sequence (shard i == cluster i
-  // here — kClusters domains on kClusters shards).
+  // More shards than clusters clamp to one shard per cluster.
+  result.shards_used = sched.shards_used();
+  EXPECT_EQ(result.shards_used, std::min(shards, kClusters));
+
+  // Project the dispatch order onto clusters by each "p<w>" activity's
+  // cluster. The solo kernel leaves one trace, a group one per shard, and
+  // cluster c's activities must all run on shard c % shards_used.
   result.cluster_traces.resize(kClusters);
   auto cluster_of_activity = [&](const std::string& activity) -> int {
     if (activity.empty() || activity[0] != 'p') return -1;
     const uint32_t w = static_cast<uint32_t>(std::stoul(activity.substr(1)));
     return static_cast<int>(topo.ClusterOfNthWorkstation(w));
   };
-  if (mode == sim::SchedulerMode::kSharded) {
-    result.shards_used = sched.shards_used();
-    EXPECT_EQ(result.shards_used, kClusters);
-    for (uint32_t s = 0; s < sched.shard_traces().size(); ++s) {
-      for (const sim::TraceEntry& e : sched.shard_traces()[s]) {
-        const int c = cluster_of_activity(e.activity);
-        EXPECT_GE(c, 0) << "unexpected cross-cluster activity " << e.activity;
-        if (c < 0) continue;
-        EXPECT_EQ(static_cast<uint32_t>(c), s) << e.activity << " @" << e.time;
-        result.cluster_traces[s].emplace_back(e.time, e.activity);
-      }
-    }
-  } else {
-    result.shards_used = 1;
-    for (const sim::TraceEntry& e : sched.trace()) {
+  using Traces = std::vector<std::vector<sim::TraceEntry>>;
+  const Traces traces =
+      result.shards_used == 1 ? Traces{sched.trace()} : sched.shard_traces();
+  for (uint32_t s = 0; s < traces.size(); ++s) {
+    for (const sim::TraceEntry& e : traces[s]) {
       const int c = cluster_of_activity(e.activity);
-      EXPECT_GE(c, 0);
+      EXPECT_GE(c, 0) << "unexpected cross-cluster activity " << e.activity;
       if (c < 0) continue;
+      EXPECT_EQ(static_cast<uint32_t>(c) % result.shards_used, s)
+          << e.activity << " @" << e.time;
       result.cluster_traces[c].emplace_back(e.time, e.activity);
     }
   }
@@ -176,10 +173,8 @@ void ExpectSameDay(const DayResult& solo, const DayResult& sharded) {
 }
 
 TEST(ShardEquivalenceTest, ShardedDayMatchesSoloKernelFiberBackend) {
-  const DayResult solo =
-      RunDay(sim::SchedulerMode::kEventDriven, sim::KernelBackend::kFiber);
-  const DayResult sharded =
-      RunDay(sim::SchedulerMode::kSharded, sim::KernelBackend::kFiber);
+  const DayResult solo = RunDay(1, sim::KernelBackend::kFiber);
+  const DayResult sharded = RunDay(kClusters, sim::KernelBackend::kFiber);
   // The day actually exercised the campus.
   uint64_t dispatches = 0;
   for (const auto& t : solo.cluster_traces) dispatches += t.size();
@@ -188,11 +183,19 @@ TEST(ShardEquivalenceTest, ShardedDayMatchesSoloKernelFiberBackend) {
 }
 
 TEST(ShardEquivalenceTest, ShardedDayMatchesSoloKernelThreadBackend) {
-  const DayResult solo =
-      RunDay(sim::SchedulerMode::kEventDriven, sim::KernelBackend::kThread);
-  const DayResult sharded =
-      RunDay(sim::SchedulerMode::kSharded, sim::KernelBackend::kThread);
+  const DayResult solo = RunDay(1, sim::KernelBackend::kThread);
+  const DayResult sharded = RunDay(kClusters, sim::KernelBackend::kThread);
   ExpectSameDay(solo, sharded);
+}
+
+// Several clusters folded onto each shard (the placement a 400-cluster
+// campus on 8 shards runs), and a request for more shards than clusters.
+TEST(ShardEquivalenceTest, FoldedAndClampedPlacementsMatchSoloKernel) {
+  const DayResult solo = RunDay(1, sim::KernelBackend::kFiber);
+  for (uint32_t shards : {2u, 3u, 2 * kClusters}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ExpectSameDay(solo, RunDay(shards, sim::KernelBackend::kFiber));
+  }
 }
 
 }  // namespace

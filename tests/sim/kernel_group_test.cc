@@ -207,11 +207,26 @@ TEST(KernelGroupTest, ActivityFailurePropagatesFromAnyShard) {
   EXPECT_THROW(group.Run(), std::runtime_error);
 }
 
-TEST(KernelGroupDefaultsTest, ShardCountClampsToDomains) {
-  // ITCFS_SHARDS is not set in the test environment: one shard per domain.
-  EXPECT_EQ(DefaultShardCount(1), 1u);
-  EXPECT_GE(DefaultShardCount(8), 1u);
-  EXPECT_LE(DefaultShardCount(8), 8u);
+// No shard may dispatch past a cross-shard handoff still in flight: the
+// arrival would land below the receiver's clock and fail its ITC_CHECK.
+// A gate whose scan of the other shards' bounds can straddle a send lets
+// that happen only now and then, so the ring of migrations and posts runs
+// 200 times; a gate without the messages-sent check aborted here in each of
+// 20 tries.
+TEST(KernelGroupTest, GateNeverPassesAHandoffInFlight) {
+  for (int run = 0; run < 200; ++run) {
+    KernelGroup group(3, KernelBackend::kFiber, kLookahead);
+    for (uint32_t d = 0; d < 3; ++d) {
+      group.Spawn(d, "p" + std::to_string(d), d * 100, [d] {
+        KernelGroup* g = KernelGroup::Current();
+        for (int i = 0; i < 20; ++i) {
+          g->MigrateToDomain((d + 1) % 3, Kernel::Current()->now() + kLookahead);
+          g->Post((d + 2) % 3, Kernel::Current()->now() + kLookahead, "post", [] {});
+        }
+      });
+    }
+    group.Run();
+  }
 }
 
 }  // namespace

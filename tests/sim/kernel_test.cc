@@ -101,12 +101,12 @@ class ThinkThenWork : public Process {
   bool done_ = false;
 };
 
-// The straggler scenario from the old resource.h KNOWN APPROXIMATION block:
-// the conservative scheduler steps A (smaller virtual time) first, A's whole
-// operation runs synchronously and books the resource from t=50 to t=150,
-// and then B — stepped later — presents an arrival (t=10) earlier than the
-// resource's ready time and queues behind work that is logically in its
-// future. The kernel suspends A until its arrival, serves B at t=10, and
+// The straggler scenario the retired call-order scheduler got wrong: it
+// stepped A (smaller virtual time) first, A's whole operation ran
+// synchronously and booked the resource from t=50 to t=150, and then B —
+// stepped later — presented an arrival (t=10) earlier than the resource's
+// ready time and queued behind work logically in its future, completing at
+// 155. The kernel suspends A until its arrival, serves B at t=10, and
 // resumes A at t=50: exact FCFS in arrival order.
 TEST(KernelTest, StragglerIsServedInArrivalOrder) {
   Resource cpu("cpu");
@@ -120,23 +120,6 @@ TEST(KernelTest, StragglerIsServedInArrivalOrder) {
   EXPECT_EQ(a.now(), 150);  // served [50, 150]
   EXPECT_EQ(end, 150);
   EXPECT_EQ(cpu.busy_time(), 105);
-}
-
-// The same scenario under the retained call-order baseline documents the
-// error the kernel removes: B completes at 155 instead of 15. This is the
-// "fails against a call-order Resource" half of the regression pair — the
-// assertions of StragglerIsServedInArrivalOrder do not hold here.
-TEST(KernelTest, ConservativeBaselineExhibitsCallOrderError) {
-  Resource cpu("cpu");
-  ThinkThenWork a(&cpu, 0, 50, 100);
-  ThinkThenWork b(&cpu, 10, 0, 5);
-  Scheduler sched;
-  sched.set_mode(SchedulerMode::kConservative);
-  sched.Add(&a);
-  sched.Add(&b);
-  sched.RunAll();
-  EXPECT_EQ(a.now(), 150);
-  EXPECT_EQ(b.now(), 155);  // queued behind A's logically-later demand
 }
 
 // A three-stage operation (net, cpu, disk) interleaves with another client

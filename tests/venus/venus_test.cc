@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/campus/campus.h"
 #include "src/common/content.h"
 #include "src/rpc/interceptor.h"
@@ -458,6 +460,23 @@ TEST_F(VenusTest, RehandshakeAfterRestartInstallsTheRetriedFetch) {
   EXPECT_EQ(FetchOutcomes(ws.venus(), Status::kConnectionBroken), 1u);
   const Fid g = EntryFid(*campus_->registry().FindVolume(alice_.volume), "g");
   EXPECT_EQ(CachedTail(ws.venus(), g), contents.tail());
+}
+
+// Every field of `a` and of `b` holds its own value (aggregate
+// initialization fills them in declaration order), so a field operator+=
+// skips, doubles or adds into another field shows.
+TEST(VenusStatsTest, SumAddsEveryField) {
+  VenusStats a{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+  const VenusStats b{100, 200, 300, 400, 500, 600, 700, 800,
+                     900, 1000, 1100, 1200, 1300, 1400, 1500};
+  a += b;
+  const std::vector<uint64_t> fields = {
+      a.opens, a.cache_hits, a.fetches, a.stores, a.validations, a.stat_calls,
+      a.bytes_fetched, a.bytes_stored, a.callback_breaks_received, a.suspect_marks,
+      a.lease_grants, a.lease_renew_calls, a.leases_renewed, a.leases_rejected,
+      static_cast<uint64_t>(a.open_time_total)};
+  EXPECT_EQ(fields, (std::vector<uint64_t>{101, 202, 303, 404, 505, 606, 707, 808, 909,
+                                           1010, 1111, 1212, 1313, 1414, 1515}));
 }
 
 }  // namespace
