@@ -29,7 +29,6 @@
 
 #include <sys/resource.h>
 
-#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -83,11 +82,9 @@ Row RunDispatch(sim::KernelBackend backend, uint32_t activities, uint32_t waits)
 
   ResetPeakRss();
   const long switches_before = OsContextSwitches();
-  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
-  const auto t0 = std::chrono::steady_clock::now();
+  const Phase run;
   kernel.Run();
-  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
-  const auto t1 = std::chrono::steady_clock::now();
+  const double wall_ms = run.ElapsedMs();
 
   Row r;
   r.workload = "dispatch";
@@ -95,7 +92,7 @@ Row RunDispatch(sim::KernelBackend backend, uint32_t activities, uint32_t waits)
   r.clients = activities;
   r.ops_per_client = waits;
   r.events = kernel.events_dispatched();
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  r.wall_ms = wall_ms;
   r.events_per_sec = r.wall_ms > 0 ? 1000.0 * static_cast<double>(r.events) / r.wall_ms : 0;
   r.peak_rss_kb = ReadPeakRssKb();
   r.os_switches = OsContextSwitches() - switches_before;
@@ -122,11 +119,9 @@ Row RunDay(sim::KernelBackend backend, uint32_t clients, uint32_t ops) {
 
   ResetPeakRss();
   const long switches_before = OsContextSwitches();
-  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
-  const auto t0 = std::chrono::steady_clock::now();
+  const Phase day;
   const SimTime end = lab.Run();
-  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
-  const auto t1 = std::chrono::steady_clock::now();
+  const double wall_ms = day.ElapsedMs();
 
   Row r;
   r.workload = "campus";
@@ -134,7 +129,7 @@ Row RunDay(sim::KernelBackend backend, uint32_t clients, uint32_t ops) {
   r.clients = clients;
   r.ops_per_client = ops;
   r.events = lab.last_kernel_events();
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  r.wall_ms = wall_ms;
   r.events_per_sec = r.wall_ms > 0 ? 1000.0 * static_cast<double>(r.events) / r.wall_ms : 0;
   r.peak_rss_kb = ReadPeakRssKb();
   r.os_switches = OsContextSwitches() - switches_before;
@@ -168,11 +163,9 @@ Row RunShardedArm(const char* workload, uint32_t shards) {
 
   ResetPeakRss();
   const long switches_before = OsContextSwitches();
-  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
-  const auto t0 = std::chrono::steady_clock::now();
+  const Phase day;
   const SimTime end = lab.Run();
-  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
-  const auto t1 = std::chrono::steady_clock::now();
+  const double wall_ms = day.ElapsedMs();
 
   Row r;
   r.workload = workload;
@@ -181,7 +174,7 @@ Row RunShardedArm(const char* workload, uint32_t shards) {
   r.ops_per_client = kOps;
   r.shards = shards;
   r.events = lab.last_kernel_events();
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  r.wall_ms = wall_ms;
   r.events_per_sec = r.wall_ms > 0 ? 1000.0 * static_cast<double>(r.events) / r.wall_ms : 0;
   r.peak_rss_kb = ReadPeakRssKb();
   r.os_switches = OsContextSwitches() - switches_before;

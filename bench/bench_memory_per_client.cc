@@ -17,13 +17,17 @@
 // table so the day runs once.
 //
 // Emits BENCH_memory.json (one row object per line, machine-greppable).
-// With --baseline=PATH the run fails (exit 1) if retained bytes/client
-// regresses more than 30% against the checked-in baseline — the CI
-// perf-smoke job wires this to bench/baseline/BENCH_memory.json.
+// Each row splits its host wall clock into set-up (building and populating
+// the campus, logging every user in) and the day. With --baseline=PATH the
+// run fails (exit 1) unless every row's simulated fields (sim_end_s,
+// retained_content_bytes, store_live_buffers, store_live_bytes) equal the
+// checked-in baseline row for the same client count — the CI perf-smoke
+// job wires this to bench/baseline/BENCH_memory.json.
 
+#include <cstdio>
 #include <cstring>
-#include <chrono>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -49,7 +53,8 @@ struct Row {
   uint32_t ops_per_client = 0;
   uint32_t shards = 1;
   double sim_end_s = 0;
-  double wall_ms = 0;
+  double setup_ms = 0;  // host wall clock of the UserDayLab construction
+  double day_ms = 0;    // host wall clock of Run()
   long peak_rss_kb = 0;
   uint64_t retained_bytes = 0;   // campus-wide content bytes, dedup-aware
   uint64_t per_client_bytes = 0; // retained_bytes / clients
@@ -79,19 +84,18 @@ Row RunRow(uint32_t clients, uint32_t ops, bool sharded) {
   }
 
   ResetPeakRss();
-  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
-  const auto t0 = std::chrono::steady_clock::now();
-  UserDayLab lab(config);
-  const SimTime end = lab.Run();
-  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
-  const auto t1 = std::chrono::steady_clock::now();
-
   Row r;
+  const Phase setup;
+  UserDayLab lab(config);
+  r.setup_ms = setup.ElapsedMs();
+  const Phase day;
+  const SimTime end = lab.Run();
+  r.day_ms = day.ElapsedMs();
+
   r.clients = clients;
   r.ops_per_client = ops;
   r.shards = config.shard_count;
   r.sim_end_s = static_cast<double>(end) / 1e6;
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   r.peak_rss_kb = ReadPeakRssKb();
   r.retained_bytes = lab.campus().RetainedContentBytes();
   r.per_client_bytes = r.retained_bytes / clients;
@@ -102,6 +106,17 @@ Row RunRow(uint32_t clients, uint32_t ops, bool sharded) {
   r.open_ms = stats.MeanOpenLatency() / 1000.0;
   r.hit_ratio = stats.HitRatio();
   return r;
+}
+
+// A row's simulated fields, formatted as WriteJson prints them. They are
+// deterministic, so --baseline requires them to equal the baseline's.
+std::vector<std::pair<const char*, std::string>> SimulatedFields(const Row& r) {
+  char sim_end[32];
+  std::snprintf(sim_end, sizeof(sim_end), "%.1f", r.sim_end_s);
+  return {{"sim_end_s", sim_end},
+          {"retained_content_bytes", std::to_string(r.retained_bytes)},
+          {"store_live_buffers", std::to_string(r.store_buffers)},
+          {"store_live_bytes", std::to_string(r.store_bytes)}};
 }
 
 void WriteJson(const std::string& path, const std::vector<Row>& rows) {
@@ -117,60 +132,62 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
     const Row& r = rows[i];
     std::fprintf(f,
                  "    {\"clients\": %u, \"ops_per_client\": %u, \"shards\": %u, "
-                 "\"sim_end_s\": %.1f, \"wall_ms\": %.1f, \"peak_rss_kb\": %ld, "
-                 "\"retained_content_bytes\": %llu, \"retained_per_client_bytes\": %llu, "
-                 "\"store_live_buffers\": %llu, \"store_live_bytes\": %llu}%s\n",
-                 r.clients, r.ops_per_client, r.shards, r.sim_end_s, r.wall_ms,
-                 r.peak_rss_kb, static_cast<unsigned long long>(r.retained_bytes),
-                 static_cast<unsigned long long>(r.per_client_bytes),
-                 static_cast<unsigned long long>(r.store_buffers),
-                 static_cast<unsigned long long>(r.store_bytes),
-                 i + 1 != rows.size() ? "," : "");
+                 "\"setup_ms\": %.1f, \"day_ms\": %.1f, \"wall_ms\": %.1f, "
+                 "\"peak_rss_kb\": %ld, \"retained_per_client_bytes\": %llu",
+                 r.clients, r.ops_per_client, r.shards, r.setup_ms, r.day_ms,
+                 r.setup_ms + r.day_ms, r.peak_rss_kb,
+                 static_cast<unsigned long long>(r.per_client_bytes));
+    for (const auto& [name, value] : SimulatedFields(r)) {
+      std::fprintf(f, ", \"%s\": %s", name, value.c_str());
+    }
+    std::fprintf(f, "}%s\n", i + 1 != rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 }
 
-// Baseline rows keyed by client count (retained bytes/client only — RSS is
-// runner-dependent and gated by the absolute budget instead).
-struct BaselinePoint {
-  uint32_t clients = 0;
-  unsigned long long per_client = 0;
-};
-
-bool LoadBaseline(const std::string& path, std::vector<BaselinePoint>& out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return false;
-  char line[1024];
-  while (std::fgets(line, sizeof(line), f)) {
-    const char* c = std::strstr(line, "\"clients\":");
-    const char* p = std::strstr(line, "\"retained_per_client_bytes\":");
-    if (c == nullptr || p == nullptr) continue;
-    BaselinePoint b;
-    if (std::sscanf(c, "\"clients\": %u", &b.clients) == 1 &&
-        std::sscanf(p, "\"retained_per_client_bytes\": %llu", &b.per_client) == 1) {
-      out.push_back(b);
-    }
-  }
-  std::fclose(f);
-  return !out.empty();
+// The value text of `"name": ` in one row line of a BENCH_memory.json, or
+// "" if the line has no such field.
+std::string FieldText(const char* line, const char* name) {
+  const std::string key = std::string("\"") + name + "\": ";
+  const char* at = std::strstr(line, key.c_str());
+  if (at == nullptr) return "";
+  at += key.size();
+  return std::string(at, std::strcspn(at, ",}"));
 }
 
-// >30% regression on retained bytes/client against the baseline fails the
-// run. A tiny absolute slack (4 KB/client) keeps near-zero baselines from
-// turning allocator noise into a gate failure.
-bool CheckBaseline(const std::vector<Row>& rows, const std::vector<BaselinePoint>& base) {
+// Every row must find a baseline row with its client count whose simulated
+// fields are equal, as printed. Host fields (wall clock, peak RSS) are not
+// compared: they depend on the runner.
+bool CheckBaseline(const std::string& path, const std::vector<Row>& rows) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot load baseline %s\n", path.c_str());
+    return false;
+  }
+  std::vector<std::string> lines;
+  char line[1024];
+  while (std::fgets(line, sizeof(line), f)) lines.emplace_back(line);
+  std::fclose(f);
+
   bool ok = true;
   for (const Row& r : rows) {
-    for (const BaselinePoint& b : base) {
-      if (b.clients != r.clients) continue;
-      const double limit = 1.30 * static_cast<double>(b.per_client) + 4096.0;
-      if (static_cast<double>(r.per_client_bytes) > limit) {
-        std::fprintf(stderr,
-                     "FAIL: N=%u retained %llu B/client vs baseline %llu (>30%% regression)\n",
-                     r.clients, static_cast<unsigned long long>(r.per_client_bytes),
-                     b.per_client);
+    const std::string clients = std::to_string(r.clients);
+    const std::string* base = nullptr;
+    for (const std::string& l : lines) {
+      if (FieldText(l.c_str(), "clients") == clients) base = &l;
+    }
+    if (base == nullptr) {
+      std::fprintf(stderr, "FAIL: N=%u has no baseline row\n", r.clients);
+      ok = false;
+      continue;
+    }
+    for (const auto& [name, value] : SimulatedFields(r)) {
+      const std::string expected = FieldText(base->c_str(), name);
+      if (value != expected) {
+        std::fprintf(stderr, "FAIL: N=%u %s is %s, baseline %s\n", r.clients, name,
+                     value.c_str(), expected.c_str());
         ok = false;
       }
     }
@@ -192,8 +209,8 @@ int main(int argc, char** argv) {
   PrintTitle("E5b: host memory per client (bench_memory_per_client)",
              "a 10k-workstation campus (Section 1 target scale) must fit in "
              "host memory; lazy refs + content dedup make it fit");
-  std::printf("%8s %5s %7s %12s %16s %14s %10s\n", "clients", "ops", "shards",
-              "peak_rss", "retained_total", "retained/cli", "wall");
+  std::printf("%8s %5s %7s %12s %16s %14s %10s %10s\n", "clients", "ops", "shards",
+              "peak_rss", "retained_total", "retained/cli", "set-up", "day");
 
   struct Arm { uint32_t clients, ops; bool sharded; };
   const Arm arms[] = {{100, 24, false}, {1000, 8, false}, {10000, 4, true}};
@@ -202,10 +219,10 @@ int main(int argc, char** argv) {
   for (const Arm& a : arms) {
     if (a.clients > max_clients) continue;
     Row r = RunRow(a.clients, a.ops, a.sharded);
-    std::printf("%8u %5u %7u %10ld K %14llu %12llu B %8.0f ms\n", r.clients,
+    std::printf("%8u %5u %7u %10ld K %14llu %12llu B %7.0f ms %7.0f ms\n", r.clients,
                 r.ops_per_client, r.shards, r.peak_rss_kb,
                 static_cast<unsigned long long>(r.retained_bytes),
-                static_cast<unsigned long long>(r.per_client_bytes), r.wall_ms);
+                static_cast<unsigned long long>(r.per_client_bytes), r.setup_ms, r.day_ms);
     rows.push_back(r);
   }
 
@@ -240,12 +257,7 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::vector<BaselinePoint> base;
-    if (!LoadBaseline(baseline_path, base)) {
-      std::fprintf(stderr, "cannot load baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    if (!CheckBaseline(rows, base)) ok = false;
+    if (!CheckBaseline(baseline_path, rows)) ok = false;
     if (ok) std::printf("\nbaseline check passed (%s)\n", baseline_path.c_str());
   }
 

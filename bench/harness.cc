@@ -3,6 +3,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string_view>
 
 #include "src/common/logging.h"
@@ -29,6 +30,12 @@ long ReadPeakRssKb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return ru.ru_maxrss;
+}
+
+int64_t Phase::HostNowNs() {
+  // itcfs-lint: allow(sim-determinism, sim-determinism-transitive) -- host wall clock IS the measurement here
+  const auto now = std::chrono::steady_clock::now().time_since_epoch();
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(now).count();
 }
 
 void PrintTitle(const std::string& bench, const std::string& paper_claim) {

@@ -33,6 +33,21 @@ void PrintSection(const std::string& name);
 void ResetPeakRss();
 long ReadPeakRssKb();
 
+// --- Host wall clock -----------------------------------------------------------
+// Host wall-clock time of one bench phase (a campus set-up, a day, a
+// dispatch loop), started at construction. Host time is what these benches
+// measure, never an input to the simulation; this is the one place in bench/
+// that reads the host clock.
+class Phase {
+ public:
+  Phase() : start_ns_(HostNowNs()) {}
+  double ElapsedMs() const { return static_cast<double>(HostNowNs() - start_ns_) / 1e6; }
+
+ private:
+  static int64_t HostNowNs();
+  int64_t start_ns_;
+};
+
 // One labelled CallStats snapshot (e.g. "prototype", "revised") destined for
 // the machine-readable dump.
 struct RpcStatsRun {

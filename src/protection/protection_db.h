@@ -15,13 +15,12 @@
 #ifndef SRC_PROTECTION_PROTECTION_DB_H_
 #define SRC_PROTECTION_PROTECTION_DB_H_
 
-#include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "src/common/result.h"
+#include "src/common/shared_map.h"
 #include "src/common/types.h"
 #include "src/crypto/key.h"
 #include "src/protection/principal.h"
@@ -77,18 +76,21 @@ class ProtectionDb {
   };
   struct GroupRecord {
     std::string name;
-    std::set<Principal> members;
+    SharedSet<Principal> members;
   };
 
   // Derivation salt for password keys; acts as the "cell name".
   static constexpr char kRealm[] = "itc.cmu.edu";
 
-  std::map<UserId, UserRecord> users_;
-  std::map<GroupId, GroupRecord> groups_;
-  std::map<std::string, UserId> user_names_;
-  std::map<std::string, GroupId> group_names_;
+  // Structure-sharing maps: copying the database (one published snapshot per
+  // mutation, src/protection/protection_service.h) is O(1), and a mutation
+  // copies O(log n) nodes.
+  SharedMap<UserId, UserRecord> users_;
+  SharedMap<GroupId, GroupRecord> groups_;
+  SharedMap<std::string, UserId> user_names_;
+  SharedMap<std::string, GroupId> group_names_;
   // Reverse index: principal -> groups it is a direct member of.
-  std::map<Principal, std::set<GroupId>> memberships_;
+  SharedMap<Principal, SharedSet<GroupId>> memberships_;
   UserId next_user_ = 100;    // ids below 100 reserved
   GroupId next_group_ = 100;  // built-ins live below 100
   uint64_t version_ = 0;

@@ -8,7 +8,9 @@ void ProtectionService::RegisterReplica(Replica* replica) {
 }
 
 void ProtectionService::Publish() {
-  // Copy-on-publish: readers holding the old snapshot are unaffected.
+  // Copy-on-publish, O(1): the snapshot shares the master's map nodes, and
+  // the master copies a node before it changes it, so readers holding the
+  // old snapshot are unaffected.
   auto snapshot = std::make_shared<const ProtectionDb>(*master_);
   for (Replica* r : replicas_) r->snapshot_ = snapshot;
   publications_ += 1;

@@ -6,10 +6,14 @@
 //  database at all sites."
 //
 // ProtectionService owns the master database; each Vice server holds a
-// Replica handle. Mutations go through the service, which re-publishes an
-// immutable snapshot to every registered replica (the slow, rarely-exercised
-// path — "avoid frequent, system-wide rapid change"). Reads (CPS evaluation,
-// key lookup during the RPC handshake) hit the local replica snapshot.
+// Replica handle. Mutations go through the service, which publishes a new
+// immutable snapshot to every registered replica before the mutating call
+// returns (the rarely-exercised, system-wide path — "avoid frequent,
+// system-wide rapid change"). The database's maps share structure between
+// snapshots (src/common/shared_map.h), so on the host a publication costs a
+// pointer per replica and a mutation O(log n), not a copy of the database.
+// Reads (CPS evaluation, key lookup during the RPC handshake) hit the local
+// replica snapshot.
 
 #ifndef SRC_PROTECTION_PROTECTION_SERVICE_H_
 #define SRC_PROTECTION_PROTECTION_SERVICE_H_
@@ -24,7 +28,8 @@
 namespace itc::protection {
 
 // A cluster server's replica of the protection database: an immutable
-// snapshot swapped wholesale on update.
+// snapshot, replaced by the next version's on every update. A reader holding
+// an older snapshot keeps an exact view of its version.
 class Replica {
  public:
   std::shared_ptr<const ProtectionDb> snapshot() const { return snapshot_; }

@@ -39,7 +39,7 @@ ViceServer::ViceServer(ServerId id, NodeId node, net::Network* network,
 void ViceServer::InstallVolume(std::unique_ptr<Volume> volume) {
   ITC_CHECK(volume != nullptr);
   const VolumeId id = volume->id();
-  store_.CheckpointVolume(*volume);
+  due_checkpoints_[id] = volume->now();
   volumes_[id] = std::move(volume);
 }
 
@@ -50,6 +50,7 @@ std::unique_ptr<Volume> ViceServer::EjectVolume(VolumeId id) {
   volumes_.erase(it);
   store_.EraseVolume(id);
   dirty_volumes_.erase(id);
+  due_checkpoints_.erase(id);
   return out;
 }
 
@@ -91,10 +92,30 @@ void ViceServer::UnregisterCallbackSink(NodeId node) {
 
 void ViceServer::CheckpointVolume(VolumeId id) {
   auto it = volumes_.find(id);
-  if (it != volumes_.end()) store_.CheckpointVolume(*it->second);
+  if (it != volumes_.end()) due_checkpoints_[id] = it->second->now();
+}
+
+void ViceServer::SettleCheckpoint(VolumeId id) {
+  auto due = due_checkpoints_.find(id);
+  if (due == due_checkpoints_.end()) return;
+  store_.CheckpointVolume(*volumes_.at(id), due->second);
+  due_checkpoints_.erase(due);
+}
+
+void ViceServer::SettleCheckpoints() {
+  for (const auto& [id, clock] : due_checkpoints_) {
+    store_.CheckpointVolume(*volumes_.at(id), clock);
+  }
+  due_checkpoints_.clear();
+}
+
+recovery::StableStore& ViceServer::stable_store() {
+  SettleCheckpoints();
+  return store_;
 }
 
 void ViceServer::SimulateCrash() {
+  SettleCheckpoints();  // requested images are durable before the crash
   crashed_ = true;
   endpoint_.set_online(false);
   // Volatile state dies with the machine: session channels, callback
@@ -112,6 +133,7 @@ void ViceServer::SimulateCrash() {
 
 recovery::RecoveryReport ViceServer::Restart(SimTime at) {
   if (!crashed_) SimulateCrash();  // a plain reboot loses volatile state too
+  SettleCheckpoints();  // volumes installed while the server was down
   recovery::RecoveryReport report;
   SimTime disk_demand = 0;
 
@@ -188,6 +210,7 @@ bool ViceServer::CrashPointHit(rpc::CrashPoint point) {
 
 uint64_t ViceServer::LogIntention(rpc::CallContext& ctx, recovery::IntentKind kind,
                                   VolumeId volume, Bytes payload) {
+  SettleCheckpoint(volume);
   ctx.ChargeDiskTime(cost_.LogAppendTime(payload.size()));
   dirty_volumes_.insert(volume);
   return store_.log().Append(kind, volume, ctx.arrival(), std::move(payload));
@@ -195,6 +218,7 @@ uint64_t ViceServer::LogIntention(rpc::CallContext& ctx, recovery::IntentKind ki
 
 uint64_t ViceServer::LogIntention(rpc::CallContext& ctx, VolumeId volume, const Fid& fid,
                                   content::Ref contents) {
+  SettleCheckpoint(volume);
   ctx.ChargeDiskTime(cost_.LogAppendTime(
       recovery::IntentionLog::LogicalStoreRecordBytes(contents.size())));
   dirty_volumes_.insert(volume);
@@ -210,6 +234,7 @@ void ViceServer::CommitIntention(rpc::CallContext& ctx, uint64_t lsn) {
     // Re-dump only volumes with logged intentions since the last checkpoint;
     // every other image is already byte-identical to a fresh dump. The disk
     // charge is unchanged: the checkpoint still writes every image.
+    SettleCheckpoints();
     for (auto& [id, vol] : volumes_) {
       if (dirty_volumes_.count(id) > 0) store_.CheckpointVolume(*vol);
     }
@@ -222,7 +247,8 @@ void ViceServer::CommitIntention(rpc::CallContext& ctx, uint64_t lsn) {
 
 void ViceServer::AbortIntention(uint64_t lsn) { store_.log().MarkAborted(lsn); }
 
-uint64_t ViceServer::RetainedContentBytes(std::unordered_set<const void*>* seen) const {
+uint64_t ViceServer::RetainedContentBytes(std::unordered_set<const void*>* seen) {
+  SettleCheckpoints();
   uint64_t total = 0;
   for (const auto& [id, vol] : volumes_) total += vol->RetainedContentBytes(seen);
   total += store_.RetainedContentBytes(seen);

@@ -101,8 +101,9 @@ class ViceServer {
   ITC_KERNEL_QUIESCENT size_t volume_count() const { return volumes_.size(); }
   // Host bytes retained for file contents across live volumes, checkpoint
   // images, and log records; buffers shared between them (snapshots, clones,
-  // interned tails) count once per `seen` set. Memory accounting only.
-  ITC_KERNEL_QUIESCENT uint64_t RetainedContentBytes(std::unordered_set<const void*>* seen) const;
+  // interned tails) count once per `seen` set. Memory accounting only; takes
+  // every due checkpoint first, so the images counted are the ones requested.
+  ITC_KERNEL_QUIESCENT uint64_t RetainedContentBytes(std::unordered_set<const void*>* seen);
 
   void SetLocationSnapshot(std::shared_ptr<const LocationDb> snapshot) {
     location_ = std::move(snapshot);
@@ -110,9 +111,17 @@ class ViceServer {
   const LocationDb* location() const { return location_.get(); }
 
   // --- Crash recovery (src/vice/recovery) -----------------------------------
-  // Re-dumps one volume's durable image; admin paths that mutate a volume
-  // directly (bypassing the logged RPC handlers) must call this or the
-  // mutation would not survive a crash.
+  // Requests a fresh durable image of one volume; admin paths that mutate a
+  // volume directly (bypassing the logged RPC handlers) must call this or the
+  // mutation would not survive a crash. InstallVolume requests one too. The
+  // image is the volume as of this call, its clock included, but the
+  // snapshot is taken when first needed: before the volume's next logged
+  // intention, before a periodic checkpoint charges the images, before a
+  // crash, and before stable_store() or RetainedContentBytes reads the
+  // store. Until then the volume does not change (RPC mutations log an
+  // intention first, admin paths request again), so the deferred snapshot
+  // equals the one this call would have taken, and a set-up that mounts N
+  // homes under /usr copies the root volume once, not N times.
   ITC_KERNEL_QUIESCENT void CheckpointVolume(VolumeId id);
 
   // Kills the server: the endpoint goes offline and every piece of volatile
@@ -132,8 +141,8 @@ class ViceServer {
 
   ITC_KERNEL_QUIESCENT bool crashed() const { return crashed_; }
   ITC_KERNEL_QUIESCENT uint32_t restart_epoch() const { return restart_epoch_; }
-  recovery::StableStore& stable_store() { return store_; }
-  const recovery::StableStore& stable_store() const { return store_; }
+  // The durable state, with every due checkpoint taken.
+  ITC_KERNEL_QUIESCENT recovery::StableStore& stable_store();
 
   // --- Callback delivery ------------------------------------------------------
   // Venus instances register out-of-band so the server can notify the right
@@ -203,6 +212,10 @@ class ViceServer {
   // log_checkpoint_interval committed intentions have accumulated.
   void CommitIntention(rpc::CallContext& ctx, uint64_t lsn);
   void AbortIntention(uint64_t lsn);
+  // Takes the due checkpoint of volume `id` (if any), or of every due
+  // volume, as of its request (CheckpointVolume).
+  void SettleCheckpoint(VolumeId id);
+  void SettleCheckpoints();
 
   // Handlers. Read-only handlers return the reply bytes directly; mutating
   // handlers return Result<Bytes> so an armed crash point can abort the call
@@ -255,6 +268,10 @@ class ViceServer {
   // its stored image is byte-identical to what a fresh Dump would produce.
   // The simulated checkpoint disk charge still covers all images.
   ITC_OWNED_BY_SHARD std::set<VolumeId> dirty_volumes_;
+  // Volumes whose image was requested but not yet taken, each with its
+  // volume clock at the request (FindVolume keeps advancing the clock; the
+  // image records the requested one).
+  ITC_OWNED_BY_SHARD std::map<VolumeId, SimTime> due_checkpoints_;
   // CPS memoization keyed by protection-database version: CheckAccess runs
   // on every call, and the recursive group closure need not be recomputed
   // until the replicated database actually changes.

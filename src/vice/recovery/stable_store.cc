@@ -4,8 +4,10 @@
 
 namespace itc::vice::recovery {
 
-void StableStore::CheckpointVolume(const Volume& vol) {
-  images_[vol.id()] = Image{vol.Snapshot(), std::nullopt};
+void StableStore::CheckpointVolume(const Volume& vol, SimTime clock) {
+  std::unique_ptr<Volume> snap = vol.Snapshot();
+  snap->set_now(clock);
+  images_[vol.id()] = Image{std::move(snap), std::nullopt};
 }
 
 uint64_t StableStore::image_bytes() const {

@@ -14,8 +14,9 @@
 // unchanged because image_bytes() still reports exactly what the dumps
 // would have measured (Volume::DumpSize). An image is sized from its
 // immutable snapshot the first time image_bytes() reads it, so an image
-// overwritten before any disk charge (a volume checkpointed once per
-// populated file) is never sized at all.
+// overwritten before any disk charge is never sized at all. ViceServer
+// takes an admin checkpoint when first needed rather than at the request
+// (ViceServer::CheckpointVolume); the image it stores is the same.
 //
 // Checkpointing is the log-truncation mechanism: after every
 // `checkpoint_interval` committed intentions the server re-checkpoints the
@@ -55,9 +56,12 @@ struct RecoveryReport {
 
 class StableStore {
  public:
-  // Overwrites the durable image of `vol` with a fresh snapshot. The
-  // snapshot is taken now; its size waits for image_bytes().
-  void CheckpointVolume(const Volume& vol);
+  // Overwrites the durable image of `vol` with a snapshot of it as it is
+  // now, its volume clock set to `clock`: ViceServer takes an admin
+  // checkpoint when first needed, and the image carries the clock of the
+  // request. The snapshot's size waits for image_bytes().
+  void CheckpointVolume(const Volume& vol, SimTime clock);
+  void CheckpointVolume(const Volume& vol) { CheckpointVolume(vol, vol.now()); }
   void EraseVolume(VolumeId id) { images_.erase(id); }
   bool HasVolume(VolumeId id) const { return images_.contains(id); }
   size_t volume_count() const { return images_.size(); }

@@ -64,6 +64,7 @@ class Volume {
   size_t vnode_count() const { return vnodes_.size(); }
 
   // Virtual time source for mtimes; the owning server keeps this current.
+  SimTime now() const { return now_; }
   void set_now(SimTime t) { now_ = t; }
 
   struct Vnode {

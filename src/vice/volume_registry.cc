@@ -55,7 +55,7 @@ Result<VolumeId> VolumeRegistry::CreateVolume(const std::string& name, ServerId 
   info.volume = id;
   info.read_write_volume = id;
   info.custodian = custodian;
-  master_.volumes[id] = info;
+  master_.volumes.Set(id, info);
   Publish();
   return id;
 }
@@ -96,9 +96,9 @@ Status VolumeRegistry::BreakVolumeCallbacks(VolumeId volume, SimTime at) {
 }
 
 Status VolumeRegistry::MoveVolume(VolumeId volume, ServerId new_custodian, SimTime at) {
-  auto info_it = master_.volumes.find(volume);
-  if (info_it == master_.volumes.end()) return Status::kNotFound;
-  ViceServer* from = ServerById(info_it->second.custodian);
+  std::optional<VolumeInfo> info = master_.Find(volume);
+  if (!info.has_value()) return Status::kNotFound;
+  ViceServer* from = ServerById(info->custodian);
   ViceServer* to = ServerById(new_custodian);
   if (from == nullptr || to == nullptr) return Status::kUnavailable;
   if (from == to) return Status::kOk;
@@ -112,7 +112,8 @@ Status VolumeRegistry::MoveVolume(VolumeId volume, ServerId new_custodian, SimTi
   from->callbacks().BreakVolume(volume, at, from->node(), from->network(),
                                 &from->endpoint().cpu(), from->cost());
   to->InstallVolume(std::move(vol));
-  info_it->second.custodian = new_custodian;
+  info->custodian = new_custodian;
+  master_.volumes.Set(volume, std::move(*info));
   Publish();
   return Status::kOk;
 }
@@ -131,7 +132,7 @@ Result<VolumeId> VolumeRegistry::CloneVolume(VolumeId volume, const std::string&
   info.read_write_volume = volume;
   info.read_only = true;
   info.custodian = server->id();
-  master_.volumes[clone_id] = info;
+  master_.volumes.Set(clone_id, info);
   Publish();
   return clone_id;
 }
@@ -161,12 +162,14 @@ Result<VolumeId> VolumeRegistry::ReleaseReadOnly(VolumeId volume,
   clone_info.read_only = true;
   clone_info.custodian = sites.front();
   clone_info.replica_sites = sites;
-  master_.volumes[clone_id] = clone_info;
+  master_.volumes.Set(clone_id, clone_info);
 
   // The atomic switch: the RW volume's location entry now advertises the new
   // clone; every Venus resolving through the location database sees either
   // the old release or the new one, never a mixture.
-  master_.volumes[volume].ro_clone = clone_id;
+  VolumeInfo rw_info = *master_.volumes.Find(volume);
+  rw_info.ro_clone = clone_id;
+  master_.volumes.Set(volume, std::move(rw_info));
   Publish();
   return clone_id;
 }
@@ -192,7 +195,7 @@ Result<VolumeId> VolumeRegistry::RestoreVolume(const Bytes& dump, const std::str
   info.volume = id;
   info.read_write_volume = id;
   info.custodian = custodian;
-  master_.volumes[id] = info;
+  master_.volumes.Set(id, info);
   Publish();
   return id;
 }

@@ -6,9 +6,11 @@
 // Section 3.1), cloning, and releasing read-only replicas ("the creation of
 // a read-only subtree is an atomic operation, thus providing a convenient
 // mechanism to support the orderly release of new system software",
-// Section 3.2). Every mutation republished the location snapshot to all
-// servers — the expensive, rare, global change the design principles call
-// out.
+// Section 3.2). Every change to the location database publishes a new
+// snapshot to all servers before the call returns — the rare, global change
+// the design principles call out. The snapshots share structure
+// (src/common/shared_map.h), so on the host a publication costs O(1) per
+// server and a change O(log volumes), not a copy of the whole database.
 
 #ifndef SRC_VICE_VOLUME_REGISTRY_H_
 #define SRC_VICE_VOLUME_REGISTRY_H_
@@ -53,9 +55,11 @@ class VolumeRegistry {
   // clients cannot keep trusting stale cached copies.
   [[nodiscard]] Status BreakVolumeCallbacks(VolumeId volume, SimTime at = 0);
 
-  // Re-dumps the volume's stable-storage image at its custodian. Required
-  // after any direct (non-RPC) mutation, which bypasses the custodian's
-  // intention log and would otherwise be lost by a crash.
+  // Requests a fresh stable-storage image of the volume at its custodian
+  // (ViceServer::CheckpointVolume: the image is the volume as of this call,
+  // snapshotted when first needed). Required after any direct (non-RPC)
+  // mutation, which bypasses the custodian's intention log and would
+  // otherwise be lost by a crash.
   [[nodiscard]] Status CheckpointVolume(VolumeId volume);
 
   // Moves a volume to a new custodian. The volume is offline for the

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -183,6 +184,139 @@ TEST(CampusTest, DeepSystemMountSurvivesCustodianRestart) {
   auto data = fresh.ReadWholeFile("/vice/a/b/sys/bin/cc");
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(ToString(*data), "cc v1");
+}
+
+// --- Admin checkpoints taken when first needed ----------------------------------
+// ViceServer::CheckpointVolume marks a volume due and snapshots it at the
+// first point that could see a difference. The image must be the one an
+// eager checkpoint would have stored at the request.
+
+const vice::Volume* HostedVolume(Campus& campus, size_t server, VolumeId vid) {
+  const vice::ViceServer& s = campus.server(server);
+  return s.FindVolume(vid);  // the const overload leaves the volume clock alone
+}
+
+// Entry `name` of directory `dir` in `vol`, or nullptr.
+const vice::DirItem* Entry(const vice::Volume& vol, const Fid& dir, const std::string& name) {
+  auto d = vol.LookupDir(dir);
+  if (!d.ok()) return nullptr;
+  auto it = (*d)->entries.find(name);
+  return it == (*d)->entries.end() ? nullptr : &it->second;
+}
+
+TEST(CampusTest, AdminMutationsSurviveAnImmediateCrash) {
+  Campus::UserHome home;
+  auto campus = MakeCampusWithHome(&home);
+  const VolumeId root = campus->registry().location().root_volume;
+  auto restart = [&] {
+    campus->CrashServer(0);
+    const auto report = campus->RestartServer(0, 0);
+    EXPECT_TRUE(report.clean());
+    EXPECT_EQ(report.volumes_restored, 2u);  // the root and the home volume
+  };
+
+  auto extra = campus->registry().CreateVolume("extra", 1, home.user, {}, 0);
+  ASSERT_TRUE(extra.ok());
+  ASSERT_EQ(campus->registry().MountAt(vice::VolumeRootFid(root), "extra", *extra), Status::kOk);
+  restart();
+  const vice::DirItem* mount = Entry(*HostedVolume(*campus, 0, root), vice::VolumeRootFid(root), "extra");
+  ASSERT_NE(mount, nullptr);
+  EXPECT_EQ(mount->mount_volume, *extra);
+
+  ASSERT_EQ(campus->PopulateDirect(home.volume, "/p/file", ToBytes("populated")), Status::kOk);
+  restart();
+  const vice::Volume* vol = HostedVolume(*campus, 0, home.volume);
+  const vice::DirItem* p = Entry(*vol, vol->root(), "p");
+  ASSERT_NE(p, nullptr);
+  const vice::DirItem* file = Entry(*vol, p->fid, "file");
+  ASSERT_NE(file, nullptr);
+  EXPECT_EQ(ToString(*vol->FetchData(file->fid)), "populated");
+
+  ASSERT_EQ(campus->MkDirDirect(home.volume, "/m/n"), Status::kOk);
+  restart();
+  vol = HostedVolume(*campus, 0, home.volume);
+  const vice::DirItem* m = Entry(*vol, vol->root(), "m");
+  ASSERT_NE(m, nullptr);
+  EXPECT_NE(Entry(*vol, m->fid, "n"), nullptr);
+
+  ASSERT_EQ(campus->registry().SetVolumeQuota(home.volume, 1 << 20), Status::kOk);
+  restart();
+  EXPECT_EQ(HostedVolume(*campus, 0, home.volume)->quota_bytes(), 1u << 20);
+}
+
+// An admin checkpoint is taken before the volume's first logged intention:
+// every logged store replays exactly once over it, and the restored volume
+// equals the one that crashed.
+TEST(CampusTest, LoggedStoresAfterAdminCheckpointReplayOnce) {
+  CampusConfig config = CampusConfig::Revised(1, 1);
+  config.vice.log_checkpoint_interval = 0;  // every intention stays in the log
+  Campus campus(config);
+  ASSERT_TRUE(campus.SetupRootVolume().ok());
+  auto home = campus.AddUserWithHome("u", "pw", 0);
+  ASSERT_TRUE(home.ok());
+  ASSERT_EQ(campus.PopulateDirect(home->volume, "/seed", ToBytes("admin")), Status::kOk);
+  auto& ws = campus.workstation(0);
+  ASSERT_EQ(ws.LoginWithPassword(home->user, "pw"), Status::kOk);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_EQ(ws.WriteWholeFile("/vice/usr/u/f" + std::to_string(i % 3),
+                                ToBytes("v" + std::to_string(i))),
+              Status::kOk);
+  }
+  ASSERT_EQ(ws.WriteWholeFile("/vice/usr/u/seed", ToBytes("overwritten")), Status::kOk);
+
+  const Bytes before = HostedVolume(campus, 0, home->volume)->Dump();
+  const size_t logged = campus.server(0).stable_store().log().size();
+  ASSERT_GE(logged, 7u);
+
+  campus.CrashServer(0);
+  const auto report = campus.RestartServer(0, ws.clock().now());
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.intentions_replayed, logged);
+  EXPECT_EQ(report.intentions_discarded, 0u);
+  EXPECT_EQ(HostedVolume(campus, 0, home->volume)->Dump(), before);
+}
+
+// Read straight from the store after admin mutations, every image measures
+// what an eager checkpoint at the request stored: the live volume, unchanged
+// since, with the volume clock of the request.
+TEST(CampusTest, StoreReadDirectlyHoldsTheRequestedImages) {
+  Campus campus(CampusConfig::Revised(2, 1));
+  ASSERT_TRUE(campus.SetupRootVolume().ok());
+  std::vector<Campus::UserHome> homes;
+  for (int i = 0; i < 4; ++i) {
+    auto h = campus.AddUserWithHome("u" + std::to_string(i), "pw", i % 2);
+    ASSERT_TRUE(h.ok());
+    homes.push_back(*h);
+  }
+  ASSERT_EQ(campus.PopulateDirect(homes[0].volume, "/a/b", ToBytes("bytes")), Status::kOk);
+  ASSERT_EQ(campus.MkDirDirect(homes[1].volume, "/x/y"), Status::kOk);
+  ASSERT_EQ(campus.registry().SetVolumeQuota(homes[2].volume, 5000), Status::kOk);
+  ASSERT_TRUE(campus.CreateSystemVolume("sys", "/unix/sys", 1).ok());
+
+  for (size_t s = 0; s < campus.server_count(); ++s) {
+    uint64_t live_bytes = 0;
+    size_t hosted = 0;
+    for (const auto& [vid, info] : campus.registry().location().volumes) {
+      if (info.custodian != s) continue;
+      live_bytes += HostedVolume(campus, s, vid)->DumpSize();
+      hosted += 1;
+    }
+    const auto& store = campus.server(s).stable_store();
+    EXPECT_EQ(store.volume_count(), hosted) << "server " << s;
+    EXPECT_EQ(store.image_bytes(), live_bytes) << "server " << s;
+  }
+
+  // A later read advances the volume clock; the image keeps the clock of
+  // the request, and a restart restores it.
+  auto& ws = campus.workstation(0);
+  ASSERT_EQ(ws.LoginWithPassword(homes[0].user, "pw"), Status::kOk);
+  ASSERT_EQ(campus.PopulateDirect(homes[0].volume, "/a/c", ToBytes("more")), Status::kOk);
+  const SimTime requested = HostedVolume(campus, 0, homes[0].volume)->now();
+  ASSERT_TRUE(ws.ReadWholeFile("/vice/usr/u0/a/c").ok());
+  ASSERT_NE(HostedVolume(campus, 0, homes[0].volume)->now(), requested);
+  campus.CrashServer(0);
+  EXPECT_TRUE(campus.RestartServer(0, ws.clock().now()).clean());
+  EXPECT_EQ(HostedVolume(campus, 0, homes[0].volume)->now(), requested);
 }
 
 TEST(CampusTest, HistogramAggregatesAcrossServers) {

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 namespace itc::vice {
 namespace {
 
@@ -147,6 +151,49 @@ TEST_F(RegistryTest, ReleaseToAnUnknownSiteChangesNothing) {
   EXPECT_EQ(servers_[0]->location()->Find(vid)->ro_clone, kInvalidVolume);
   // The refused release spent no volume id.
   EXPECT_EQ(*registry_.CreateVolume("next", 0, 1, acl_, 0), vid + 1);
+}
+
+// A copy of the location database is an immutable view of its version: the
+// volume map shares structure with later versions (src/common/shared_map.h),
+// and no later change may write into a shared entry.
+TEST_F(RegistryTest, LocationCopyUnchangedByLaterChanges) {
+  std::vector<VolumeId> vids;
+  for (int i = 0; i < 20; ++i) {
+    vids.push_back(*registry_.CreateVolume("v" + std::to_string(i), static_cast<ServerId>(i % 3),
+                                         1, acl_, 0));
+  }
+  const VolumeId moved = vids[7];
+  const VolumeId released = vids[12];
+  using Entry = std::tuple<VolumeId, VolumeId, VolumeId, VolumeId, bool, ServerId,
+                           std::vector<ServerId>>;
+  auto entries = [](const LocationDb& db) {
+    std::vector<Entry> out;
+    for (const auto& [vid, info] : db.volumes) {
+      out.emplace_back(vid, info.volume, info.read_write_volume, info.ro_clone, info.read_only,
+                       info.custodian, info.replica_sites);
+    }
+    return out;
+  };
+  const LocationDb before = registry_.location();
+  const std::vector<Entry> expected = entries(before);
+  ASSERT_EQ(expected.size(), vids.size());
+
+  const VolumeId created = *registry_.CreateVolume("late", 2, 1, acl_, 0);
+  ASSERT_EQ(registry_.MoveVolume(moved, 2), Status::kOk);
+  const VolumeId ro = *registry_.ReleaseReadOnly(released, "rel.ro", {0, 1, 2});
+
+  EXPECT_EQ(entries(before), expected);
+  EXPECT_FALSE(before.volumes.contains(created));
+  EXPECT_FALSE(before.volumes.contains(ro));
+  EXPECT_EQ(before.Find(moved)->custodian, 1u);
+  EXPECT_EQ(before.Find(released)->ro_clone, kInvalidVolume);
+  // The master (and every server's snapshot) moved on.
+  EXPECT_EQ(registry_.location().volumes.size(), vids.size() + 2);
+  for (const auto& s : servers_) {
+    EXPECT_EQ(s->location()->Find(moved)->custodian, 2u);
+    EXPECT_EQ(s->location()->Find(released)->ro_clone, ro);
+    EXPECT_TRUE(s->location()->volumes.contains(created));
+  }
 }
 
 TEST_F(RegistryTest, RootVolumeTracked) {
