@@ -26,18 +26,43 @@ const std::vector<std::vector<uint8_t>>& CandidatePhases() {
   return *table;
 }
 
-// Bytes MatchLength compares per memcmp.
-constexpr uint64_t kMatchChunk = 4096;
+// Bytes the stream is copied or compared in at a time.
+constexpr uint64_t kChunk = 4096;
+
+// The generative stream at phase 0, one chunk plus one period long: it holds
+// the next chunk of every phase as a window, so bytes at any phase are
+// copied or matched a chunk at a time.
+const uint8_t* PhaseZeroStream() {
+  static const Bytes* const stream = [] {
+    auto* s = new Bytes(kChunk + kPeriod);
+    for (uint64_t i = 0; i < s->size(); ++i) {
+      (*s)[i] = static_cast<uint8_t>(kAlphabet[i % kPeriod]);
+    }
+    return s;
+  }();
+  return stream->data();
+}
+
+// Appends the generative stream bytes [offset, offset+n) for `phase` to
+// `out`, a chunk at a time.
+void AppendSynthesized(uint64_t phase, uint64_t offset, uint64_t n, Bytes& out) {
+  // Shifting the phase by the offset reduces "bytes [offset, offset+n)" to
+  // "the first n bytes at a different phase".
+  const uint64_t p = (phase + offset) % kPeriod;
+  for (uint64_t i = 0; i < n;) {
+    const uint8_t* from = PhaseZeroStream() + (p + i) % kPeriod;
+    const uint64_t len = std::min(kChunk, n - i);
+    out.insert(out.end(), from, from + len);
+    i += len;
+  }
+}
 
 // Length of the longest prefix of [data, data+n) matching the generative
-// stream at `phase`. The stream at phase 0, one chunk plus one period long,
-// holds every phase's next chunk as a window, so the match runs a chunk at a
-// time and scans bytes only inside the chunk that differs.
+// stream at `phase`. It scans bytes only inside the chunk that differs.
 uint64_t MatchLength(const uint8_t* data, uint64_t n, uint64_t phase) {
-  static const Bytes* const stream = new Bytes(Synthesize(0, 0, kMatchChunk + kPeriod));
   for (uint64_t i = 0; i < n;) {
-    const uint8_t* want = stream->data() + (i + phase) % kPeriod;
-    const uint64_t len = std::min(kMatchChunk, n - i);
+    const uint8_t* want = PhaseZeroStream() + (i + phase) % kPeriod;
+    const uint64_t len = std::min(kChunk, n - i);
     if (std::memcmp(data + i, want, len) != 0) {
       uint64_t j = 0;
       while (data[i + j] == want[j]) ++j;
@@ -56,31 +81,19 @@ void SetCanonicalizationEnabled(bool enabled) {
 
 bool CanonicalizationEnabled() { return g_canonicalize.load(std::memory_order_relaxed); }
 
-uint64_t HashBytes(const uint8_t* data, size_t n, uint64_t h) {
+uint64_t HashBytes(const uint8_t* data, size_t n) {
+  uint64_t h = kFnvOffsetBasis;
   for (size_t i = 0; i < n; ++i) {
     h ^= data[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }
 
 Bytes Synthesize(uint64_t phase, uint64_t offset, uint64_t n) {
-  // Shifting the phase by the offset reduces "bytes [offset, offset+n)" to
-  // "the first n bytes at a different phase".
-  const uint64_t p = (phase + offset) % kPeriod;
-  Bytes out(n);
-  const uint64_t head = std::min(n, kPeriod);
-  for (uint64_t i = 0; i < head; ++i) {
-    out[i] = static_cast<uint8_t>(kAlphabet[(i + p) % kPeriod]);
-  }
-  // Extend by doubling: after the head, `filled` stays a multiple of kPeriod,
-  // so copying from the front preserves the phase. (Byte-at-a-time appends
-  // were a profile hotspot when benches synthesized on every store.)
-  for (uint64_t filled = head; filled < n;) {
-    const uint64_t len = std::min(filled, n - filled);
-    std::memcpy(out.data() + filled, out.data(), len);
-    filled += len;
-  }
+  Bytes out;
+  out.reserve(n);
+  AppendSynthesized(phase, offset, n, out);
   return out;
 }
 
@@ -135,6 +148,11 @@ Ref Ref::Canonicalize(Bytes bytes) {
 
 Bytes Ref::Materialize() const { return Slice(0, size()); }
 
+void Ref::AppendTo(Bytes& out) const {
+  AppendSynthesized(phase_, 0, gen_len_, out);
+  if (tail_ != nullptr) out.insert(out.end(), tail_->begin(), tail_->end());
+}
+
 std::shared_ptr<const Bytes> Ref::Buffer() const {
   if (gen_len_ == 0 && tail_ != nullptr) return tail_;
   return std::make_shared<const Bytes>(Materialize());
@@ -147,7 +165,8 @@ Bytes Ref::Slice(uint64_t offset, uint64_t n) const {
   Bytes out;
   if (offset < gen_len_) {
     const uint64_t gen_take = std::min(n, gen_len_ - offset);
-    out = Synthesize(phase_, offset, gen_take);
+    out.reserve(n);
+    AppendSynthesized(phase_, offset, gen_take, out);
     if (gen_take < n) {
       out.insert(out.end(), tail_->begin(), tail_->begin() + static_cast<ptrdiff_t>(n - gen_take));
     }

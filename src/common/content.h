@@ -69,10 +69,10 @@ Bytes Synthesize(uint64_t phase, uint64_t offset, uint64_t n);
 void SetCanonicalizationEnabled(bool enabled);
 bool CanonicalizationEnabled();
 
-// FNV-1a 64-bit over a byte range (the content-address hash). Passing the
-// hash of earlier bytes as `h` continues it over this range.
+// FNV-1a 64-bit over a byte range (the content-address hash).
 inline constexpr uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ull;
-uint64_t HashBytes(const uint8_t* data, size_t n, uint64_t h = kFnvOffsetBasis);
+inline constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+uint64_t HashBytes(const uint8_t* data, size_t n);
 
 // A file's contents: `gen_len` generative bytes at `phase`, then `tail`
 // literal bytes. Either half may be empty. Immutable and cheaply copyable;
@@ -100,6 +100,8 @@ class Ref {
 
   // The full contents as literal bytes (a fresh buffer).
   Bytes Materialize() const;
+  // Appends the full contents to `out`, with no buffer between.
+  void AppendTo(Bytes& out) const;
   // The full contents as one immutable buffer: the shared tail itself when
   // there is no generative prefix (no copy), else a fresh materialization.
   std::shared_ptr<const Bytes> Buffer() const;

@@ -1,7 +1,6 @@
 #include "src/crypto/cbc.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "src/common/content.h"
 #include "src/crypto/xtea.h"
@@ -10,53 +9,89 @@ namespace itc::crypto {
 
 namespace {
 
+constexpr size_t kRowBytes = kXteaLanes * kBlockSize;
+constexpr size_t kChecksumLanes = 8;
+
 void PutU64(uint64_t v, uint8_t* p) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
 uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
+  return LoadWord(p) | static_cast<uint64_t>(LoadWord(p + 4)) << 32;
+}
+
+// The chaining values of the first row: lane l's IV is E_K(IV ^ l), derived
+// for lanes [0, lanes) only.
+XteaLanes LaneIvs(const XteaSchedule& schedule, const uint8_t* iv, size_t lanes) {
+  XteaLanes chain{};
+  for (size_t l = 0; l < lanes; ++l) {
+    chain.v0[l] = LoadWord(iv) ^ static_cast<uint32_t>(l);
+    chain.v1[l] = LoadWord(iv + 4);
+  }
+  XteaEncryptLanes(schedule, chain, lanes);
+  return chain;
 }
 
 }  // namespace
 
+uint64_t EnvelopeChecksum(const uint8_t* data, uint64_t length) {
+  // Eight independent multiply chains, so no step waits on the one before.
+  const size_t words = static_cast<size_t>((length + 7) / 8);
+  uint64_t lane[kChecksumLanes];
+  std::fill(std::begin(lane), std::end(lane), content::kFnvOffsetBasis);
+  size_t w = 0;
+  for (; w + kChecksumLanes <= words; w += kChecksumLanes) {
+    for (size_t j = 0; j < kChecksumLanes; ++j) {
+      lane[j] = (lane[j] ^ GetU64(data + 8 * (w + j))) * content::kFnvPrime;
+    }
+  }
+  for (size_t j = 0; w + j < words; ++j) {
+    lane[j] = (lane[j] ^ GetU64(data + 8 * (w + j))) * content::kFnvPrime;
+  }
+  uint64_t h = content::kFnvOffsetBasis;
+  for (uint64_t v : lane) h = (h ^ v) * content::kFnvPrime;
+  return (h ^ length) * content::kFnvPrime;
+}
+
 Bytes Seal(const Key& key, const Bytes& plaintext, uint64_t iv_seed) {
   const XteaSchedule schedule(key);
   // Trailer: 8-byte length + 8-byte checksum; pad the whole body to a block
-  // multiple before CBC.
+  // multiple.
   const size_t length = plaintext.size();
   const size_t padded = (length + 16 + kBlockSize - 1) / kBlockSize * kBlockSize;
 
-  Bytes out(kBlockSize + padded, 0);
+  Bytes out;
+  out.reserve(kBlockSize + padded);
+  out.resize(kBlockSize);
+  out.insert(out.end(), plaintext.begin(), plaintext.end());
+  out.resize(kBlockSize + padded);  // zero padding and the trailer's room
 
   // Derive the IV by encrypting the seed, so IVs are unpredictable without
   // the key but reproducible for a given (key, seed).
-  uint32_t chain[2] = {static_cast<uint32_t>(iv_seed), static_cast<uint32_t>(iv_seed >> 32)};
-  XteaEncryptBlock(schedule, chain);
-  StoreWord(chain[0], out.data());
-  StoreWord(chain[1], out.data() + 4);
+  uint32_t iv[2] = {static_cast<uint32_t>(iv_seed), static_cast<uint32_t>(iv_seed >> 32)};
+  XteaEncryptBlock(schedule, iv);
+  StoreWord(iv[0], out.data());
+  StoreWord(iv[1], out.data() + 4);
 
   uint8_t* body = out.data() + kBlockSize;
-  if (length != 0) std::memcpy(body, plaintext.data(), length);
   PutU64(length, body + padded - 16);
+  PutU64(EnvelopeChecksum(body, length), body + padded - 8);
 
-  // One serial CBC chain. The checksum, a 64-bit FNV-1a over the plaintext,
-  // is hashed block by block alongside the chain, and is complete by the
-  // last block, which carries it.
-  uint64_t checksum = content::kFnvOffsetBasis;
-  for (size_t off = 0; off < padded; off += kBlockSize) {
-    uint8_t* block = body + off;
-    if (off < length) {
-      checksum = content::HashBytes(block, std::min<size_t>(kBlockSize, length - off), checksum);
+  // One row of kXteaLanes blocks per pass: `chain` holds each lane's last
+  // ciphertext block, which the lane's next block is XORed with.
+  XteaLanes chain = LaneIvs(schedule, out.data(), std::min(padded / kBlockSize, kXteaLanes));
+  for (size_t off = 0; off < padded; off += kRowBytes) {
+    const size_t used = std::min(kRowBytes, padded - off) / kBlockSize;
+    uint8_t* row = body + off;
+    for (size_t l = 0; l < used; ++l) {
+      chain.v0[l] ^= LoadWord(row + l * kBlockSize);
+      chain.v1[l] ^= LoadWord(row + l * kBlockSize + 4);
     }
-    if (off + kBlockSize == padded) PutU64(checksum, block);
-    chain[0] ^= LoadWord(block);
-    chain[1] ^= LoadWord(block + 4);
-    XteaEncryptBlock(schedule, chain);
-    StoreWord(chain[0], block);
-    StoreWord(chain[1], block + 4);
+    XteaEncryptLanes(schedule, chain, used);
+    for (size_t l = 0; l < used; ++l) {
+      StoreWord(chain.v0[l], row + l * kBlockSize);
+      StoreWord(chain.v1[l], row + l * kBlockSize + 4);
+    }
   }
   return out;
 }
@@ -70,25 +105,25 @@ Result<Bytes> Open(const Key& key, const Bytes& sealed) {
   const size_t padded = sealed.size() - kBlockSize;
   Bytes body(padded);
 
-  // CBC decryption has no chain: plaintext block j is the decryption of
-  // ciphertext block j XOR ciphertext block j-1 (the IV for j = 0), so the
-  // blocks decrypt kXteaLanes at a time. `sealed` starts with the IV, so
-  // sealed block j is ciphertext block j-1.
-  constexpr size_t kBatchBytes = kXteaLanes * kBlockSize;
-  for (size_t off = 0; off < padded; off += kBatchBytes) {
-    const size_t lanes_used = std::min(kBatchBytes, padded - off) / kBlockSize;
-    const uint8_t* prev = sealed.data() + off;
-    const uint8_t* cipher = prev + kBlockSize;
-    XteaLanes lanes{};
-    for (size_t l = 0; l < lanes_used; ++l) {
+  // Decryption has no chain: plaintext block i is the decryption of
+  // ciphertext block i XOR its lane's previous ciphertext block (the lane IV
+  // in the first row), so a row's blocks decrypt side by side.
+  XteaLanes chain = LaneIvs(schedule, sealed.data(), std::min(padded / kBlockSize, kXteaLanes));
+  XteaLanes lanes{};
+  for (size_t off = 0; off < padded; off += kRowBytes) {
+    const size_t used = std::min(kRowBytes, padded - off) / kBlockSize;
+    const uint8_t* cipher = sealed.data() + kBlockSize + off;
+    for (size_t l = 0; l < used; ++l) {
       lanes.v0[l] = LoadWord(cipher + l * kBlockSize);
       lanes.v1[l] = LoadWord(cipher + l * kBlockSize + 4);
     }
-    XteaDecryptLanes(schedule, lanes);
+    XteaDecryptLanes(schedule, lanes, used);
     uint8_t* plain = body.data() + off;
-    for (size_t l = 0; l < lanes_used; ++l) {
-      StoreWord(lanes.v0[l] ^ LoadWord(prev + l * kBlockSize), plain + l * kBlockSize);
-      StoreWord(lanes.v1[l] ^ LoadWord(prev + l * kBlockSize + 4), plain + l * kBlockSize + 4);
+    for (size_t l = 0; l < used; ++l) {
+      StoreWord(lanes.v0[l] ^ chain.v0[l], plain + l * kBlockSize);
+      StoreWord(lanes.v1[l] ^ chain.v1[l], plain + l * kBlockSize + 4);
+      chain.v0[l] = LoadWord(cipher + l * kBlockSize);
+      chain.v1[l] = LoadWord(cipher + l * kBlockSize + 4);
     }
   }
 
@@ -100,7 +135,9 @@ Result<Bytes> Open(const Key& key, const Bytes& sealed) {
   if ((length + 16 + kBlockSize - 1) / kBlockSize * kBlockSize != padded) {
     return Status::kTamperDetected;
   }
-  if (content::HashBytes(body.data(), length) != checksum) return Status::kTamperDetected;
+  // The checksum's words run through the padding, so altered padding fails
+  // it as well.
+  if (EnvelopeChecksum(body.data(), length) != checksum) return Status::kTamperDetected;
 
   body.resize(length);
   return body;

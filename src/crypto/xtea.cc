@@ -13,16 +13,26 @@ inline uint32_t Round(uint32_t v, uint32_t addend) {
   return (((v << 4) ^ (v >> 5)) + v) ^ addend;
 }
 
-// Decrypts N blocks, block l being (v0[l], v1[l]). Each addend is read before
+// Encrypts (decrypts) blocks [0, N) of `lanes`. Each addend is read before
 // its lane loop so the loop touches only the lanes and needs no alias check
 // to vectorize.
 template <size_t N>
-void DecryptLanes(const XteaSchedule& schedule, uint32_t (&v0)[N], uint32_t (&v1)[N]) {
+void EncryptLanes(const XteaSchedule& schedule, XteaLanes& lanes) {
+  for (int i = 0; i < kCycles; ++i) {
+    const uint32_t a0 = schedule.v0_addend[i];
+    for (size_t l = 0; l < N; ++l) lanes.v0[l] += Round(lanes.v1[l], a0);
+    const uint32_t a1 = schedule.v1_addend[i];
+    for (size_t l = 0; l < N; ++l) lanes.v1[l] += Round(lanes.v0[l], a1);
+  }
+}
+
+template <size_t N>
+void DecryptLanes(const XteaSchedule& schedule, XteaLanes& lanes) {
   for (int i = kCycles - 1; i >= 0; --i) {
     const uint32_t a1 = schedule.v1_addend[i];
-    for (size_t l = 0; l < N; ++l) v1[l] -= Round(v0[l], a1);
+    for (size_t l = 0; l < N; ++l) lanes.v1[l] -= Round(lanes.v0[l], a1);
     const uint32_t a0 = schedule.v0_addend[i];
-    for (size_t l = 0; l < N; ++l) v0[l] -= Round(v1[l], a0);
+    for (size_t l = 0; l < N; ++l) lanes.v0[l] -= Round(lanes.v1[l], a0);
   }
 }
 
@@ -49,8 +59,21 @@ void XteaEncryptBlock(const XteaSchedule& schedule, uint32_t block[2]) {
   block[1] = v1;
 }
 
-void XteaDecryptLanes(const XteaSchedule& schedule, XteaLanes& lanes) {
-  DecryptLanes(schedule, lanes.v0, lanes.v1);
+// The smallest kernel of 8, 16, 24 or 32 lanes that covers `count` blocks.
+static_assert(kXteaLanes == 32);
+
+void XteaEncryptLanes(const XteaSchedule& schedule, XteaLanes& lanes, size_t count) {
+  if (count <= 8) return EncryptLanes<8>(schedule, lanes);
+  if (count <= 16) return EncryptLanes<16>(schedule, lanes);
+  if (count <= 24) return EncryptLanes<24>(schedule, lanes);
+  EncryptLanes<32>(schedule, lanes);
+}
+
+void XteaDecryptLanes(const XteaSchedule& schedule, XteaLanes& lanes, size_t count) {
+  if (count <= 8) return DecryptLanes<8>(schedule, lanes);
+  if (count <= 16) return DecryptLanes<16>(schedule, lanes);
+  if (count <= 24) return DecryptLanes<24>(schedule, lanes);
+  DecryptLanes<32>(schedule, lanes);
 }
 
 void XteaEncryptBlock(const Key& key, uint32_t block[2]) {
@@ -58,10 +81,12 @@ void XteaEncryptBlock(const Key& key, uint32_t block[2]) {
 }
 
 void XteaDecryptBlock(const Key& key, uint32_t block[2]) {
-  uint32_t v0[1] = {block[0]}, v1[1] = {block[1]};
-  DecryptLanes(XteaSchedule(key), v0, v1);
-  block[0] = v0[0];
-  block[1] = v1[0];
+  XteaLanes lanes{};
+  lanes.v0[0] = block[0];
+  lanes.v1[0] = block[1];
+  XteaDecryptLanes(XteaSchedule(key), lanes, 1);
+  block[0] = lanes.v0[0];
+  block[1] = lanes.v1[0];
 }
 
 void XteaEncryptBlock(const Key& key, uint8_t block[kBlockSize]) {

@@ -34,19 +34,23 @@ struct XteaSchedule {
 // Encrypts one 64-bit block in place. `block` is two little-endian words.
 void XteaEncryptBlock(const XteaSchedule& schedule, uint32_t block[2]);
 
-// Blocks decrypted side by side by XteaDecryptLanes. Decryption of
-// independent blocks (CBC decryption, for one) has no chain between them,
-// so each cycle's lane loop can compile to SIMD code.
+// Blocks encrypted or decrypted side by side. Independent blocks (the 32
+// lanes of a sealed envelope's row, for one) have no chain between them, so
+// each cycle's lane loop can compile to SIMD code.
 inline constexpr size_t kXteaLanes = 32;
 
-// kXteaLanes independent blocks; block l is the words (v0[l], v1[l]).
+// Up to kXteaLanes independent blocks; block l is the words (v0[l], v1[l]).
 struct XteaLanes {
   uint32_t v0[kXteaLanes];
   uint32_t v1[kXteaLanes];
 };
 
-// Decrypts every block of `lanes` in place.
-void XteaDecryptLanes(const XteaSchedule& schedule, XteaLanes& lanes);
+// Encrypts (decrypts) blocks [0, count) of `lanes` in place, for
+// 0 < count <= kXteaLanes. The work runs in kernels of 8, 16, 24 or 32
+// lanes, so the blocks up to the next multiple of 8 change too: they must
+// hold initialized words, and their results mean nothing.
+void XteaEncryptLanes(const XteaSchedule& schedule, XteaLanes& lanes, size_t count);
+void XteaDecryptLanes(const XteaSchedule& schedule, XteaLanes& lanes, size_t count);
 
 // Single-block conveniences that expand `key` on each call. The byte form
 // packs the 8 bytes as two little-endian words.

@@ -45,12 +45,11 @@ inline uint64_t BulkSize(const std::optional<Bulk>& bulk) {
 
 // The inline layout of `control` with `bulk`'s contents at their offset.
 inline Bytes Splice(const Bytes& control, const Bulk& bulk) {
-  const Bytes data = bulk.data.Materialize();
   const auto at = control.begin() + static_cast<ptrdiff_t>(bulk.offset);
   Bytes out;
-  out.reserve(control.size() + data.size());
+  out.reserve(control.size() + bulk.data.size());
   out.insert(out.end(), control.begin(), at);
-  out.insert(out.end(), data.begin(), data.end());
+  bulk.data.AppendTo(out);
   out.insert(out.end(), at, control.end());
   return out;
 }

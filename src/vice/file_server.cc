@@ -176,6 +176,7 @@ recovery::RecoveryReport ViceServer::Restart(SimTime at) {
     report.salvage.dangling_entries_removed += sr.dangling_entries_removed;
     report.salvage.orphan_vnodes_removed += sr.orphan_vnodes_removed;
     report.salvage.parents_fixed += sr.parents_fixed;
+    report.salvage.dir_lengths_corrected += sr.dir_lengths_corrected;
     report.salvage.usage_corrected_bytes += sr.usage_corrected_bytes;
   }
   store_.log().Truncate();

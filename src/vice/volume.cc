@@ -19,6 +19,7 @@ Volume::Volume(VolumeId id, std::string name, VolumeType type, UserId owner,
   root.status.mode = 0755;
   root.status.owner = owner;
   root.status.version = 1;
+  root.status.length = DirDataSize({});
   root.acl = std::move(root_acl);
   vnodes_.emplace(1u, std::move(root));
   usage_bytes_ = kPerVnodeOverhead;
@@ -65,10 +66,7 @@ uint64_t Volume::DirDataSize(const DirMap& entries) {
 void Volume::TouchDir(Vnode& dir, uint64_t added, uint64_t removed) {
   dir.status.version += 1;
   dir.status.mtime = now_;
-  // A directory untouched since it was made still reports length 0; its
-  // serialized form then is the empty 4-byte count.
-  const uint64_t length = dir.status.length == 0 ? DirDataSize({}) : dir.status.length;
-  dir.status.length = length + added - removed;
+  dir.status.length = dir.status.length + added - removed;
   dir_buffers_.erase(dir.status.fid.vnode);
 }
 
@@ -121,6 +119,7 @@ Result<Fid> Volume::MakeDir(const Fid& dir, const std::string& name, UserId owne
   v.status.mode = 0755;
   v.status.version = 1;
   v.status.mtime = now_;
+  v.status.length = DirDataSize({});
   v.status.parent = dir;
   v.acl = acl;
   vnodes_.emplace(fid.vnode, std::move(v));
@@ -541,11 +540,16 @@ Volume::SalvageReport Volume::Salvage() {
     }
   }
 
-  // Pass 3: recompute quota usage.
+  // Pass 3: recompute quota usage and directory lengths.
   uint64_t usage = 0;
   for (auto& [num, v] : vnodes_) {
     usage += kPerVnodeOverhead + v.data.size();
-    if (v.status.type == VnodeType::kDirectory) v.status.length = DirDataSize(v.entries);
+    if (v.status.type != VnodeType::kDirectory) continue;
+    const uint64_t length = DirDataSize(v.entries);
+    if (v.status.length != length) {
+      v.status.length = length;
+      report.dir_lengths_corrected += 1;
+    }
   }
   report.usage_corrected_bytes =
       usage > usage_bytes_ ? usage - usage_bytes_ : usage_bytes_ - usage;

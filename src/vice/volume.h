@@ -150,16 +150,17 @@ class Volume {
     uint32_t dangling_entries_removed = 0;  // dir entries pointing nowhere
     uint32_t orphan_vnodes_removed = 0;     // vnodes reachable from no directory
     uint32_t parents_fixed = 0;
+    uint32_t dir_lengths_corrected = 0;     // directory status lengths rewritten
     uint64_t usage_corrected_bytes = 0;
     bool clean() const {
       return dangling_entries_removed == 0 && orphan_vnodes_removed == 0 &&
-             parents_fixed == 0 && usage_corrected_bytes == 0;
+             parents_fixed == 0 && dir_lengths_corrected == 0 && usage_corrected_bytes == 0;
     }
     bool operator==(const SalvageReport&) const = default;
   };
   // Consistency check and repair after a crash: drops dangling directory
   // entries, removes unreachable vnodes, fixes parent pointers, recomputes
-  // quota usage.
+  // directory lengths and quota usage.
   SalvageReport Salvage();
 
   // Host bytes actually held for file contents, counting each buffer shared

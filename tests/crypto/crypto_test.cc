@@ -1,5 +1,6 @@
 // Unit tests for the crypto substrate: XTEA, key derivation, the sealed
-// (authenticated CBC) envelope, and the mutual authentication handshake.
+// (authenticated, lane-interleaved CBC) envelope, and the mutual
+// authentication handshake.
 
 #include <gtest/gtest.h>
 
@@ -149,8 +150,9 @@ TEST(SealTest, WrongKeyDetected) {
 }
 
 // Flips bits throughout a sealed message of GetParam() bytes. 17 bytes fit
-// in one partial decryption batch; 525 bytes fill two whole batches of
-// kXteaLanes blocks and leave a ragged tail.
+// in one partial row of kXteaLanes blocks; 240 bytes fill exactly one row
+// and 241 start a second; 525 bytes fill two whole rows and leave a ragged
+// tail, and 781 bytes one row more.
 class SealTamperTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(SealTamperTest, EveryBitFlipDetected) {
@@ -169,7 +171,7 @@ TEST_P(SealTamperTest, EveryBitFlipDetected) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Lengths, SealTamperTest, ::testing::Values(17, 525));
+INSTANTIATE_TEST_SUITE_P(Lengths, SealTamperTest, ::testing::Values(17, 240, 241, 525, 781));
 
 TEST(SealTest, TruncationDetected) {
   const Key key = TestKey(0x44);
@@ -183,28 +185,54 @@ TEST(SealTest, GarbageRejected) {
   EXPECT_FALSE(Open(TestKey(0x01), Bytes(40, 0x5a)).ok());
 }
 
-// Reference envelope, one block at a time through the Key-taking
-// XteaEncryptBlock: IV || CBC(plaintext || zero padding || length || FNV-1a
-// of plaintext), the IV being the encrypted seed.
+// Reference envelope, written from its definition one block at a time
+// through the Key-taking XteaEncryptBlock: IV || per-lane CBC(plaintext ||
+// zero padding || length || checksum). The IV is the encrypted seed. Block i
+// is chained to ciphertext block i - 32, and blocks 0-31 to the lane IVs
+// E_K(IV ^ lane).
+constexpr size_t kReferenceLanes = 32;
+
+// FNV-1a over the zero-padded plaintext's little-endian 64-bit words, word w
+// hashed into lane w mod 8; then the 8 lanes in order, then the length.
+uint64_t ReferenceChecksum(const Bytes& plain) {
+  constexpr uint64_t kPrime = 0x100000001b3ull;
+  Bytes words = plain;
+  words.resize((plain.size() + 7) / 8 * 8, 0);
+  std::vector<uint64_t> lanes(8, 0xcbf29ce484222325ull);
+  for (size_t w = 0; w < words.size() / 8; ++w) {
+    uint64_t word = 0;
+    for (int i = 0; i < 8; ++i) word |= static_cast<uint64_t>(words[8 * w + i]) << (8 * i);
+    lanes[w % 8] = (lanes[w % 8] ^ word) * kPrime;
+  }
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint64_t lane : lanes) h = (h ^ lane) * kPrime;
+  return (h ^ plain.size()) * kPrime;
+}
+
 Bytes ReferenceSeal(const Key& key, const Bytes& plain, uint64_t iv_seed) {
   auto put_u64 = [](uint64_t v, uint8_t* p) {
     for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
   };
-  uint64_t fnv = 0xcbf29ce484222325ull;
-  for (uint8_t b : plain) {
-    fnv ^= b;
-    fnv *= 0x100000001b3ull;
-  }
   const size_t padded = (plain.size() + 16 + kBlockSize - 1) / kBlockSize * kBlockSize;
   Bytes out(kBlockSize + padded, 0);
   put_u64(iv_seed, out.data());
   XteaEncryptBlock(key, out.data());
   std::copy(plain.begin(), plain.end(), out.begin() + kBlockSize);
   put_u64(plain.size(), out.data() + out.size() - 16);
-  put_u64(fnv, out.data() + out.size() - 8);
-  for (size_t off = kBlockSize; off < out.size(); off += kBlockSize) {
-    for (int j = 0; j < kBlockSize; ++j) out[off + j] ^= out[off - kBlockSize + j];
-    XteaEncryptBlock(key, out.data() + off);
+  put_u64(ReferenceChecksum(plain), out.data() + out.size() - 8);
+  for (size_t i = 0; i < padded / kBlockSize; ++i) {
+    uint8_t* block = out.data() + kBlockSize * (i + 1);
+    uint8_t chain[kBlockSize];
+    if (i < kReferenceLanes) {
+      std::copy(out.begin(), out.begin() + kBlockSize, chain);
+      chain[0] ^= static_cast<uint8_t>(i);  // IV ^ lane, little-endian
+      XteaEncryptBlock(key, chain);
+    } else {
+      std::copy(block - kReferenceLanes * kBlockSize,
+                block - kReferenceLanes * kBlockSize + kBlockSize, chain);
+    }
+    for (int j = 0; j < kBlockSize; ++j) block[j] ^= chain[j];
+    XteaEncryptBlock(key, block);
   }
   return out;
 }
@@ -229,8 +257,8 @@ TEST(SealTest, MatchesBlockAtATimeReference) {
 }
 
 TEST(SealTest, MatchesGoldenCiphertexts) {
-  // FNV-1a of Seal's output for fixed inputs, recorded from the block-at-a-
-  // time envelope. A mismatch means the wire format changed.
+  // FNV-1a of the sealed bytes for fixed inputs, recorded from ReferenceSeal.
+  // A mismatch means the wire format changed.
   struct Golden {
     uint8_t key_fill;
     size_t length;
@@ -238,17 +266,40 @@ TEST(SealTest, MatchesGoldenCiphertexts) {
     uint64_t hash;
   };
   constexpr Golden kGolden[] = {
-      {0x01, 0, 0x0000000000000000ull, 0x88a75a16f68b1672ull},
-      {0x31, 17, 0x0000000000000009ull, 0x881bc943bd27a3fbull},
-      {0x77, 255, 0x0123456789abcdefull, 0xe790e7efb93830e5ull},
-      {0xa5, 525, 0x0000000000000007ull, 0x7b863764633b6d43ull},
-      {0xfe, 65536, 0x8000000000000000ull, 0xac4f1bc682c3e801ull},
+      {0x01, 0, 0x0000000000000000ull, 0x6e8589fe2137a370ull},
+      {0x31, 17, 0x0000000000000009ull, 0x67e0f1f00ba22706ull},
+      {0x77, 255, 0x0123456789abcdefull, 0x027a0f5ba4491de1ull},
+      {0xa5, 525, 0x0000000000000007ull, 0xd24f74dc4a2a4777ull},
+      {0xfe, 65536, 0x8000000000000000ull, 0xf95291a12ee86028ull},
   };
   for (const Golden& g : kGolden) {
     Bytes plain(g.length);
     for (size_t i = 0; i < plain.size(); ++i) plain[i] = static_cast<uint8_t>(i * 7 + 3);
+    const Bytes reference = ReferenceSeal(TestKey(g.key_fill), plain, g.iv_seed);
+    EXPECT_EQ(content::HashBytes(reference.data(), reference.size()), g.hash)
+        << "length " << g.length;
     const Bytes sealed = Seal(TestKey(g.key_fill), plain, g.iv_seed);
     EXPECT_EQ(content::HashBytes(sealed.data(), sealed.size()), g.hash) << "length " << g.length;
+  }
+}
+
+TEST(SealTest, EveryPlaintextBitFlipChangesChecksum) {
+  // Lengths 0 to two rows of kXteaLanes blocks and one byte more.
+  constexpr size_t kMaxLength = 2 * kXteaLanes * kBlockSize + 1;
+  for (size_t length = 0; length <= kMaxLength; ++length) {
+    Bytes words((length + 7) / 8 * 8, 0);
+    for (size_t i = 0; i < length; ++i) words[i] = static_cast<uint8_t>(i * 7 + 3);
+    const uint64_t checksum = EnvelopeChecksum(words.data(), length);
+    ASSERT_EQ(checksum, ReferenceChecksum(Bytes(words.begin(), words.begin() + length)))
+        << "length " << length;
+    for (size_t byte = 0; byte < length; ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        words[byte] = static_cast<uint8_t>(words[byte] ^ (1u << bit));
+        ASSERT_NE(EnvelopeChecksum(words.data(), length), checksum)
+            << "length " << length << " byte " << byte << " bit " << bit;
+        words[byte] = static_cast<uint8_t>(words[byte] ^ (1u << bit));
+      }
+    }
   }
 }
 

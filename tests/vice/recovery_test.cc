@@ -353,5 +353,27 @@ TEST_F(RecoveryTest, DirectoryOpsReplayDeterministically) {
   EXPECT_EQ(ToString(*Fetch(conn2.get(), f)), "data");
 }
 
+// A directory made and never changed keeps its status across a crash and
+// restart: salvage has no length to rewrite, so the volume's dump is
+// byte-identical and the report clean.
+TEST_F(RecoveryTest, UntouchedDirectorySurvivesRestartUnchanged) {
+  auto conn = Connect();
+  rpc::Writer mk;
+  mk.PutFid(VolumeRootFid(vol_));
+  mk.PutString("empty");
+  mk.PutBytes(Bytes{});  // inherit ACL
+  auto mk_reply = conn->Call(static_cast<uint32_t>(Proc::kMakeDir), mk.Take());
+  ASSERT_TRUE(mk_reply.ok());
+  rpc::Reader mkr(*mk_reply);
+  ASSERT_EQ(rpc::ExpectOk(mkr), Status::kOk);
+
+  const Bytes pre_crash_dump = registry_.FindVolume(vol_)->Dump();
+  server_->SimulateCrash();
+  auto report = server_->Restart(clock_.now());
+  EXPECT_TRUE(report.salvage.clean());
+  EXPECT_EQ(report.salvage.dir_lengths_corrected, 0u);
+  EXPECT_EQ(registry_.FindVolume(vol_)->Dump(), pre_crash_dump);
+}
+
 }  // namespace
 }  // namespace itc::vice

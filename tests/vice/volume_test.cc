@@ -273,17 +273,13 @@ std::vector<Fid> Directories(const Volume& vol) {
   return out;
 }
 
-// Each directory's length and served bytes against its live entries. A
-// directory untouched since it was made reports length 0 and has none.
+// Each directory's length and served bytes against its live entries,
+// directories untouched since they were made included.
 void ExpectDirectoriesMatchEntries(const Volume& vol) {
   for (const Fid& dir : Directories(vol)) {
     const Volume::Vnode* v = *vol.LookupDir(dir);
     const Bytes serialized = SerializeDirectory(v->entries);
     EXPECT_EQ(vol.FetchRef(dir)->Materialize(), serialized) << dir.ToString();
-    if (v->status.length == 0) {
-      EXPECT_TRUE(v->entries.empty()) << dir.ToString();
-      continue;
-    }
     EXPECT_EQ(v->status.length, serialized.size()) << dir.ToString();
   }
 }
@@ -359,6 +355,7 @@ TEST_F(VolumeTest, SalvagedDanglingEntryGetsANewBuffer) {
 
   const Volume::SalvageReport report = (*vol)->Salvage();
   EXPECT_EQ(report.dangling_entries_removed, 1u);
+  EXPECT_EQ(report.dir_lengths_corrected, 1u);  // the root lost "ghost"
   // Salvage dropped the entry without bumping the version, and the fetch
   // still serves the live entries.
   EXPECT_EQ((*vol)->GetStatus((*vol)->root())->version, version);
@@ -366,6 +363,18 @@ TEST_F(VolumeTest, SalvagedDanglingEntryGetsANewBuffer) {
   EXPECT_NE(repaired, damaged);
   EXPECT_EQ(LookupDirectory(*repaired, "ghost").status(), Status::kNotFound);
   ExpectDirectoriesMatchEntries(**vol);
+}
+
+// A directory nothing was ever added to already has its serialized length,
+// the empty 4-byte count, so salvage finds nothing to rewrite.
+TEST_F(VolumeTest, UntouchedDirectoriesNeedNoSalvage) {
+  Volume fresh(2, "fresh", VolumeType::kReadWrite, kOwner, OwnerAcl(kOwner), 0);
+  EXPECT_TRUE(fresh.Salvage().clean());
+  ASSERT_TRUE(vol_.MakeDir(vol_.root(), "d", kOwner, OwnerAcl(kOwner)).ok());
+  const Bytes before = vol_.Dump();
+  EXPECT_TRUE(vol_.Salvage().clean());
+  EXPECT_EQ(vol_.Dump(), before);
+  ExpectDirectoriesMatchEntries(vol_);
 }
 
 // Directory lengths move by one entry's serialized size per operation; a
