@@ -10,11 +10,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "src/campus/campus.h"
 #include "src/common/content.h"
 #include "src/crypto/cbc.h"
 #include "src/crypto/handshake.h"
 #include "src/crypto/xtea.h"
+#include "src/crypto/xtea_rows.h"
 #include "src/protection/protection_db.h"
 #include "src/rpc/wire.h"
 #include "src/unixfs/file_system.h"
@@ -38,10 +41,38 @@ void BM_XteaBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_XteaBlock);
 
+// The rows of a 256 KB message through one build of the row kernel
+// (src/crypto/xtea_rows.h), encrypted and then decrypted, so one host
+// reports every level it can run.
+void BM_XteaRows(benchmark::State& state, crypto::rows::Level level) {
+  const crypto::rows::Build& build = crypto::rows::BuildFor(level);
+  if (!crypto::rows::CpuSupports(level)) {
+    state.SkipWithError((std::string("this CPU cannot run ") + build.name).c_str());
+    return;
+  }
+  crypto::Key key;
+  key.bytes.fill(0x17);
+  const crypto::XteaSchedule schedule(key);
+  constexpr size_t kBytes = 256 * 1024;
+  Bytes data(kBytes, 0x5a), plain(kBytes);
+  const Bytes chain(crypto::kXteaLanes * crypto::kBlockSize, 0xc3);
+  for (auto _ : state) {
+    build.encrypt(schedule, chain.data(), data.data(), kBytes / crypto::kBlockSize);
+    build.decrypt(schedule, chain.data(), data.data(), plain.data(), kBytes / crypto::kBlockSize);
+    benchmark::DoNotOptimize(plain.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 2 * kBytes);
+}
+BENCHMARK_CAPTURE(BM_XteaRows, x86-64, crypto::rows::Level::kBaseline);
+BENCHMARK_CAPTURE(BM_XteaRows, x86-64-v3, crypto::rows::Level::kV3);
+BENCHMARK_CAPTURE(BM_XteaRows, x86-64-v4, crypto::rows::Level::kV4);
+
 // The two halves of the sealed envelope are timed apart. Each runs one row
 // of crypto::kXteaLanes blocks per pass (Seal's lanes are interleaved CBC
 // chains; Open's decryptions are independent), so the two cost about the
-// same, and CI fails a BM_Seal/262144 above 1.5x BM_Open/262144.
+// same, and CI fails a BM_Seal/262144 above 1.5x BM_Open/262144. The label
+// names the build of the row kernel that ran.
 void BM_Seal(benchmark::State& state) {
   crypto::Key key;
   key.bytes.fill(0x17);
@@ -52,6 +83,7 @@ void BM_Seal(benchmark::State& state) {
     benchmark::DoNotOptimize(sealed);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+  state.SetLabel(crypto::rows::ActiveBuild().name);
 }
 BENCHMARK(BM_Seal)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
 
@@ -65,6 +97,7 @@ void BM_Open(benchmark::State& state) {
     benchmark::DoNotOptimize(opened);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+  state.SetLabel(crypto::rows::ActiveBuild().name);
 }
 BENCHMARK(BM_Open)->Arg(64)->Arg(1024)->Arg(16384)->Arg(262144);
 

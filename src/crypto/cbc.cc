@@ -1,6 +1,7 @@
 #include "src/crypto/cbc.h"
 
 #include <algorithm>
+#include <array>
 
 #include "src/common/content.h"
 #include "src/crypto/xtea.h"
@@ -20,15 +21,17 @@ uint64_t GetU64(const uint8_t* p) {
   return LoadWord(p) | static_cast<uint64_t>(LoadWord(p + 4)) << 32;
 }
 
-// The chaining values of the first row: lane l's IV is E_K(IV ^ l), derived
-// for lanes [0, lanes) only.
-XteaLanes LaneIvs(const XteaSchedule& schedule, const uint8_t* iv, size_t lanes) {
-  XteaLanes chain{};
+// The chaining blocks of the first row: lane l's IV is E_K(IV ^ l), derived
+// only for the lanes a body of `blocks` blocks reaches.
+std::array<uint8_t, kRowBytes> LaneIvs(const XteaSchedule& schedule, const uint8_t* iv,
+                                       size_t blocks) {
+  std::array<uint8_t, kRowBytes> chain{};
+  const size_t lanes = std::min(blocks, kXteaLanes);
   for (size_t l = 0; l < lanes; ++l) {
-    chain.v0[l] = LoadWord(iv) ^ static_cast<uint32_t>(l);
-    chain.v1[l] = LoadWord(iv + 4);
+    StoreWord(LoadWord(iv) ^ static_cast<uint32_t>(l), chain.data() + l * kBlockSize);
+    StoreWord(LoadWord(iv + 4), chain.data() + l * kBlockSize + 4);
   }
-  XteaEncryptLanes(schedule, chain, lanes);
+  XteaEncryptRows(schedule, /*chain=*/nullptr, chain.data(), lanes);
   return chain;
 }
 
@@ -77,22 +80,8 @@ Bytes Seal(const Key& key, const Bytes& plaintext, uint64_t iv_seed) {
   PutU64(length, body + padded - 16);
   PutU64(EnvelopeChecksum(body, length), body + padded - 8);
 
-  // One row of kXteaLanes blocks per pass: `chain` holds each lane's last
-  // ciphertext block, which the lane's next block is XORed with.
-  XteaLanes chain = LaneIvs(schedule, out.data(), std::min(padded / kBlockSize, kXteaLanes));
-  for (size_t off = 0; off < padded; off += kRowBytes) {
-    const size_t used = std::min(kRowBytes, padded - off) / kBlockSize;
-    uint8_t* row = body + off;
-    for (size_t l = 0; l < used; ++l) {
-      chain.v0[l] ^= LoadWord(row + l * kBlockSize);
-      chain.v1[l] ^= LoadWord(row + l * kBlockSize + 4);
-    }
-    XteaEncryptLanes(schedule, chain, used);
-    for (size_t l = 0; l < used; ++l) {
-      StoreWord(chain.v0[l], row + l * kBlockSize);
-      StoreWord(chain.v1[l], row + l * kBlockSize + 4);
-    }
-  }
+  const size_t blocks = padded / kBlockSize;
+  XteaEncryptRows(schedule, LaneIvs(schedule, out.data(), blocks).data(), body, blocks);
   return out;
 }
 
@@ -105,27 +94,9 @@ Result<Bytes> Open(const Key& key, const Bytes& sealed) {
   const size_t padded = sealed.size() - kBlockSize;
   Bytes body(padded);
 
-  // Decryption has no chain: plaintext block i is the decryption of
-  // ciphertext block i XOR its lane's previous ciphertext block (the lane IV
-  // in the first row), so a row's blocks decrypt side by side.
-  XteaLanes chain = LaneIvs(schedule, sealed.data(), std::min(padded / kBlockSize, kXteaLanes));
-  XteaLanes lanes{};
-  for (size_t off = 0; off < padded; off += kRowBytes) {
-    const size_t used = std::min(kRowBytes, padded - off) / kBlockSize;
-    const uint8_t* cipher = sealed.data() + kBlockSize + off;
-    for (size_t l = 0; l < used; ++l) {
-      lanes.v0[l] = LoadWord(cipher + l * kBlockSize);
-      lanes.v1[l] = LoadWord(cipher + l * kBlockSize + 4);
-    }
-    XteaDecryptLanes(schedule, lanes, used);
-    uint8_t* plain = body.data() + off;
-    for (size_t l = 0; l < used; ++l) {
-      StoreWord(lanes.v0[l] ^ chain.v0[l], plain + l * kBlockSize);
-      StoreWord(lanes.v1[l] ^ chain.v1[l], plain + l * kBlockSize + 4);
-      chain.v0[l] = LoadWord(cipher + l * kBlockSize);
-      chain.v1[l] = LoadWord(cipher + l * kBlockSize + 4);
-    }
-  }
+  const size_t blocks = padded / kBlockSize;
+  XteaDecryptRows(schedule, LaneIvs(schedule, sealed.data(), blocks).data(),
+                  sealed.data() + kBlockSize, body.data(), blocks);
 
   const uint64_t length = GetU64(body.data() + padded - 16);
   const uint64_t checksum = GetU64(body.data() + padded - 8);

@@ -11,15 +11,19 @@
 // so the blocks of a row encrypt side by side, and a lane IV is derived only
 // for a lane the message reaches. Each lane is plain CBC with a secret IV:
 // every XTEA input that carries plaintext is a plaintext block XORed with a
-// fresh E_K output used once, so equal blocks still encrypt differently. The
-// checksum (EnvelopeChecksum) covers the plaintext and its length. Open()
-// inverts the envelope and returns kTamperDetected if any bit of the
-// ciphertext was altered: a flipped body bit garbles its block, a flipped IV
-// bit garbles the first block of every lane, and either fails the length or
-// the checksum. A sealed message is 8 + round_up(length + 16, 8) bytes, so
-// its size depends on the plaintext length alone. This gives the
-// "end-to-end encryption" with integrity the Vice-Virtue connection needs;
-// it is the reproduction stand-in for the encrypted-RPC channel of §3.5.3.
+// fresh E_K output used once, so equal blocks still encrypt differently.
+// Seal and Open each make two calls into the row kernel (xtea.h), one for the
+// lane IVs and one for the whole body. The kernel runs on the widest vector
+// unit the CPU has, and each of its builds writes the same bytes, so the
+// envelope does not depend on the host. The checksum (EnvelopeChecksum)
+// covers the plaintext and its length. Open() inverts the envelope and
+// returns kTamperDetected if any bit of the ciphertext was altered: a flipped
+// body bit garbles its block, a flipped IV bit garbles the first block of
+// every lane, and either fails the length or the checksum. A sealed message
+// is 8 + round_up(length + 16, 8) bytes, so its size depends on the plaintext
+// length alone. This gives the "end-to-end encryption" with integrity the
+// Vice-Virtue connection needs; it is the reproduction stand-in for the
+// encrypted-RPC channel of §3.5.3.
 
 #ifndef SRC_CRYPTO_CBC_H_
 #define SRC_CRYPTO_CBC_H_

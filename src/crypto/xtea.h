@@ -34,23 +34,31 @@ struct XteaSchedule {
 // Encrypts one 64-bit block in place. `block` is two little-endian words.
 void XteaEncryptBlock(const XteaSchedule& schedule, uint32_t block[2]);
 
-// Blocks encrypted or decrypted side by side. Independent blocks (the 32
-// lanes of a sealed envelope's row, for one) have no chain between them, so
-// each cycle's lane loop can compile to SIMD code.
+// Rows of kXteaLanes interleaved CBC lanes, the layout of a sealed
+// envelope's body (cbc.h): block i is chained to block i - kXteaLanes, and a
+// row's blocks, having no chain between them, run side by side in SIMD lanes.
+//
+// One row kernel source is compiled three times, for x86-64-v4 (AVX-512,
+// 16 lanes per register), x86-64-v3 (AVX2, 8) and the x86-64 baseline
+// (SSE2, 4), with no -march flag: the first call picks the widest build the
+// CPU supports from cpuid, once, and every later call goes straight to it.
+// Each build runs the same 32-bit lane arithmetic, so all three write the
+// same bytes. A build keeps a row's lanes in locals, in registers across the
+// 64 rounds, and handles a whole message, partial last row included, in one
+// call. src/crypto/xtea_rows.h reaches each build directly.
 inline constexpr size_t kXteaLanes = 32;
 
-// Up to kXteaLanes independent blocks; block l is the words (v0[l], v1[l]).
-struct XteaLanes {
-  uint32_t v0[kXteaLanes];
-  uint32_t v1[kXteaLanes];
-};
+// Encrypts the `blocks` 8-byte blocks at `data` in place, as
+// C_i = E_K(P_i ^ C_{i-32}). The first row is chained to a whole row of
+// kXteaLanes blocks at `chain` (C_{i-32} = chain block i), or to zeros if
+// `chain` is null.
+void XteaEncryptRows(const XteaSchedule& schedule, const uint8_t* chain, uint8_t* data,
+                     size_t blocks);
 
-// Encrypts (decrypts) blocks [0, count) of `lanes` in place, for
-// 0 < count <= kXteaLanes. The work runs in kernels of 8, 16, 24 or 32
-// lanes, so the blocks up to the next multiple of 8 change too: they must
-// hold initialized words, and their results mean nothing.
-void XteaEncryptLanes(const XteaSchedule& schedule, XteaLanes& lanes, size_t count);
-void XteaDecryptLanes(const XteaSchedule& schedule, XteaLanes& lanes, size_t count);
+// The inverse: writes P_i = D_K(C_i) ^ C_{i-32} for the `blocks` ciphertext
+// blocks at `in` to `out`, which must not overlap `in`.
+void XteaDecryptRows(const XteaSchedule& schedule, const uint8_t* chain, const uint8_t* in,
+                     uint8_t* out, size_t blocks);
 
 // Single-block conveniences that expand `key` on each call. The byte form
 // packs the 8 bytes as two little-endian words.

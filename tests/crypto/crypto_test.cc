@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/content.h"
@@ -15,6 +16,7 @@
 #include "src/crypto/handshake.h"
 #include "src/crypto/key.h"
 #include "src/crypto/xtea.h"
+#include "src/crypto/xtea_rows.h"
 
 namespace itc::crypto {
 namespace {
@@ -301,6 +303,130 @@ TEST(SealTest, EveryPlaintextBitFlipChangesChecksum) {
       }
     }
   }
+}
+
+// --- Row kernel builds ------------------------------------------------------------
+
+Bytes RandomBytes(Rng& rng, size_t size) {
+  Bytes bytes(size);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextU64());
+  return bytes;
+}
+
+// The rows written from their definition, one block at a time through the
+// Key-taking XteaEncryptBlock and XteaDecryptBlock: block i is chained to
+// block i of `chain` in the first row and to ciphertext block i - 32 after it.
+const uint8_t* ReferenceChainBlock(const Bytes& chain, const Bytes& cipher, size_t i) {
+  return i < kReferenceLanes ? chain.data() + kBlockSize * i
+                             : cipher.data() + kBlockSize * (i - kReferenceLanes);
+}
+
+Bytes ReferenceEncryptRows(const Key& key, const Bytes& chain, const Bytes& plain) {
+  Bytes cipher = plain;
+  for (size_t i = 0; i < plain.size() / kBlockSize; ++i) {
+    uint8_t* block = cipher.data() + kBlockSize * i;
+    const uint8_t* back = ReferenceChainBlock(chain, cipher, i);
+    for (int j = 0; j < kBlockSize; ++j) block[j] ^= back[j];
+    XteaEncryptBlock(key, block);
+  }
+  return cipher;
+}
+
+Bytes ReferenceDecryptRows(const Key& key, const Bytes& chain, const Bytes& cipher) {
+  Bytes plain(cipher.size());
+  for (size_t i = 0; i < cipher.size() / kBlockSize; ++i) {
+    uint32_t words[2] = {LoadWord(cipher.data() + kBlockSize * i),
+                         LoadWord(cipher.data() + kBlockSize * i + 4)};
+    XteaDecryptBlock(key, words);
+    const uint8_t* back = ReferenceChainBlock(chain, cipher, i);
+    StoreWord(words[0] ^ LoadWord(back), plain.data() + kBlockSize * i);
+    StoreWord(words[1] ^ LoadWord(back + 4), plain.data() + kBlockSize * i + 4);
+  }
+  return plain;
+}
+
+// Each build of the row kernel this CPU can run, called directly.
+class XteaRowsTest : public ::testing::TestWithParam<rows::Level> {
+ protected:
+  void SetUp() override {
+    if (!rows::CpuSupports(GetParam())) {
+      GTEST_SKIP() << "this CPU cannot run the " << build().name << " build";
+    }
+  }
+  const rows::Build& build() const { return rows::BuildFor(GetParam()); }
+};
+
+TEST_P(XteaRowsTest, MatchesBlockAtATime) {
+  // Every last-row width of 1-32 blocks, after 0-4 whole rows, chained to a
+  // random first row and to none (zeros).
+  Rng rng(0x7ea5);
+  const Bytes zeros(kReferenceLanes * kBlockSize, 0);
+  for (size_t whole_rows = 0; whole_rows < 5; ++whole_rows) {
+    for (size_t last = 1; last <= kReferenceLanes; ++last) {
+      const size_t blocks = whole_rows * kReferenceLanes + last;
+      Key key;
+      for (uint8_t& b : key.bytes) b = static_cast<uint8_t>(rng.NextU64());
+      const XteaSchedule schedule(key);
+      const Bytes chain = RandomBytes(rng, kReferenceLanes * kBlockSize);
+      const Bytes plain = RandomBytes(rng, blocks * kBlockSize);
+      for (const uint8_t* first_row : {chain.data(), static_cast<const uint8_t*>(nullptr)}) {
+        const Bytes& reference_chain = first_row != nullptr ? chain : zeros;
+        const Bytes expected = ReferenceEncryptRows(key, reference_chain, plain);
+        Bytes cipher = plain;
+        build().encrypt(schedule, first_row, cipher.data(), blocks);
+        ASSERT_EQ(cipher, expected) << build().name << ", " << blocks << " blocks";
+        ASSERT_EQ(ReferenceDecryptRows(key, reference_chain, cipher), plain);
+        Bytes opened(plain.size());
+        build().decrypt(schedule, first_row, cipher.data(), opened.data(), blocks);
+        ASSERT_EQ(opened, plain) << build().name << ", " << blocks << " blocks";
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Levels, XteaRowsTest, ::testing::ValuesIn(rows::kLevels),
+                         [](const ::testing::TestParamInfo<rows::Level>& p) {
+                           std::string name = rows::BuildFor(p.param).name;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST(XteaRowsDispatchTest, PicksWidestBuildTheCpuSupports) {
+  const rows::Level widest = __builtin_cpu_supports("x86-64-v4")   ? rows::Level::kV4
+                             : __builtin_cpu_supports("x86-64-v3") ? rows::Level::kV3
+                                                                   : rows::Level::kBaseline;
+  EXPECT_EQ(&rows::ActiveBuild(), &rows::BuildFor(widest))
+      << "runs " << rows::ActiveBuild().name << ", widest is " << rows::BuildFor(widest).name;
+  EXPECT_TRUE(rows::CpuSupports(rows::Level::kBaseline));
+  for (rows::Level level : rows::kLevels) {
+    EXPECT_EQ(rows::CpuSupports(level), level <= widest) << rows::BuildFor(level).name;
+  }
+}
+
+TEST(XteaRowsDispatchTest, EachLevelHasItsOwnBuild) {
+  for (rows::Level a : rows::kLevels) {
+    for (rows::Level b : rows::kLevels) {
+      if (a == b) continue;
+      EXPECT_NE(rows::BuildFor(a).encrypt, rows::BuildFor(b).encrypt)
+          << rows::BuildFor(a).name << " and " << rows::BuildFor(b).name;
+      EXPECT_NE(rows::BuildFor(a).decrypt, rows::BuildFor(b).decrypt)
+          << rows::BuildFor(a).name << " and " << rows::BuildFor(b).name;
+    }
+  }
+}
+
+TEST(XteaRowsDispatchTest, ConcurrentFirstCallsAgree) {
+  // Run in a process of its own, as ctest runs each test, the threads race
+  // to make the process's first dispatched call, the way shard threads do.
+  const Key key = TestKey(0x5c);
+  const Bytes plain(1000, 0x42);
+  std::vector<Bytes> sealed(4);
+  std::vector<std::thread> threads;
+  for (Bytes& out : sealed) {
+    threads.emplace_back([&key, &plain, &out] { out = Seal(key, plain, 7); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Bytes& out : sealed) EXPECT_EQ(out, ReferenceSeal(key, plain, 7));
 }
 
 // --- Handshake ----------------------------------------------------------------------
