@@ -1,20 +1,22 @@
 #include "src/common/fid.h"
 
 #include <charconv>
+#include <initializer_list>
 #include <ostream>
 
 namespace itc {
 
 std::string Fid::ToString() const {
-  // "<volume>.<vnode>.<uniquifier>": three 32-bit decimals and two dots.
-  char buf[3 * 10 + 2];
-  char* const end = buf + sizeof(buf);
-  char* p = std::to_chars(buf, end, volume).ptr;
-  *p++ = '.';
-  p = std::to_chars(p, end, vnode).ptr;
-  *p++ = '.';
-  p = std::to_chars(p, end, uniquifier).ptr;
-  return std::string(buf, p);
+  // "<volume>.<vnode>.<uniquifier>". Each 32-bit decimal is written into a
+  // field of ten bytes, its most digits, and followed by a dot, so every
+  // write provably stays in `buf`; the last dot is not returned.
+  char buf[3 * 11];
+  char* p = buf;
+  for (const uint32_t part : {volume, vnode, uniquifier}) {
+    p = std::to_chars(p, p + 10, part).ptr;
+    *p++ = '.';
+  }
+  return std::string(buf, p - 1);
 }
 
 std::ostream& operator<<(std::ostream& os, const Fid& fid) {

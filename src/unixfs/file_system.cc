@@ -132,12 +132,7 @@ Result<StatInfo> FileSystem::LStat(std::string_view path) const {
 
 Result<InodeNum> FileSystem::Create(std::string_view path, Mode mode, UserId owner) {
   ASSIGN_OR_RETURN(ParentRef ref, ResolveParent(path));
-  Inode& dir = Node(ref.parent);
-  if (dir.entries.contains(ref.leaf)) return Status::kAlreadyExists;
-  const InodeNum n = AllocInode(FileType::kRegular, mode, owner);
-  dir.entries.emplace(ref.leaf, n);
-  dir.mtime = now_;
-  return n;
+  return CreateAt(ref.parent, ref.leaf, mode, owner);
 }
 
 Status FileSystem::MkDir(std::string_view path, Mode mode, UserId owner) {
@@ -360,6 +355,20 @@ Status FileSystem::SetMTime(std::string_view path, SimTime mtime) {
   ASSIGN_OR_RETURN(InodeNum n, Resolve(path));
   Node(n).mtime = mtime;
   return Status::kOk;
+}
+
+Result<InodeNum> FileSystem::CreateAt(InodeNum dir_inode, std::string_view name, Mode mode,
+                                      UserId owner) {
+  auto it = inodes_.find(dir_inode);
+  if (it == inodes_.end()) return Status::kNotFound;
+  Inode& dir = it->second;
+  if (dir.type != FileType::kDirectory) return Status::kNotDirectory;
+  if (!IsValidName(name)) return Status::kInvalidArgument;
+  auto [entry, inserted] = dir.entries.try_emplace(std::string(name), 0);
+  if (!inserted) return Status::kAlreadyExists;
+  entry->second = AllocInode(FileType::kRegular, mode, owner);
+  dir.mtime = now_;
+  return entry->second;
 }
 
 Result<StatInfo> FileSystem::StatInode(InodeNum inode) const {

@@ -118,6 +118,11 @@ class FileSystem {
   // rather than their full Unix pathnames" (Section 3.5.1); these are those
   // low-level entry points.
 
+  // Create's file, made as `name` in directory `dir_inode`, with no path to
+  // resolve (Venus makes its cache copies here).
+  [[nodiscard]] Result<InodeNum> CreateAt(InodeNum dir_inode, std::string_view name,
+                                          Mode mode = kDefaultFileMode,
+                                          UserId owner = kAnonymousUser);
   [[nodiscard]] Result<StatInfo> StatInode(InodeNum inode) const;
   [[nodiscard]] Result<Bytes> ReadFileByInode(InodeNum inode) const;
   // The same contents as the stored ref, without materializing them.

@@ -12,6 +12,9 @@ FileCache::FileCache(unixfs::FileSystem* local_fs, std::string cache_dir,
     : local_fs_(local_fs), cache_dir_(std::move(cache_dir)), config_(config) {
   ITC_CHECK(local_fs_ != nullptr);
   ITC_CHECK(local_fs_->MkDirAll(cache_dir_) == Status::kOk);
+  auto dir = local_fs_->Resolve(cache_dir_);
+  ITC_CHECK(dir.ok());
+  cache_dir_inode_ = *dir;
 }
 
 std::string FileCache::PathFor(const Fid& fid) const {
@@ -47,8 +50,10 @@ CacheEntry& FileCache::InstallData(const Fid& fid, const vice::VnodeStatus& stat
   // dirty mark would make FlushDirty re-store the server's own bytes.
   e.dirty = false;
   e.accounted_bytes = data.size();
+  e.dir_index = status.type == vice::VnodeType::kDirectory ? vice::DirIndex::Of(data.Buffer())
+                                                           : nullptr;
   if (e.inode == 0) {
-    auto created = local_fs_->Create(PathFor(fid));
+    auto created = local_fs_->CreateAt(cache_dir_inode_, fid.ToString());
     ITC_CHECK(created.ok());
     e.inode = *created;
   }

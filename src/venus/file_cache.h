@@ -10,14 +10,19 @@
 // whether a deferred write is pending, and LRU recency. Eviction honours
 // either the prototype's file-count limit or the revised space limit.
 //
-// A copy's path is used twice: to create it at first install and to unlink
-// it at erase. Every read and write in between reaches it by its inode, the
-// way the revised Vice server reaches files "via their low-level
-// identifiers rather than their full Unix pathnames" (Section 3.5.1).
+// A copy is created in the cache directory's inode, and its path is used
+// once, to unlink it at erase. Every read and write in between reaches it by
+// its inode, the way the revised Vice server reaches files "via their
+// low-level identifiers rather than their full Unix pathnames"
+// (Section 3.5.1).
+//
+// A cached directory also keeps the name index of its data
+// (vice::DirIndex), which pathname walks and listings read.
 
 #ifndef SRC_VENUS_FILE_CACHE_H_
 #define SRC_VENUS_FILE_CACHE_H_
 
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,6 +40,9 @@ struct CacheEntry {
   vice::VnodeStatus status;
   // The cached copy in the local file system; set while has_data.
   unixfs::InodeNum inode = 0;
+  // A directory's name index, of the data installed with it; shared by
+  // every workstation that caches the same version.
+  std::shared_ptr<const vice::DirIndex> dir_index;
   bool has_data = false;
   // Data (and status) known to be current: freshly fetched, validated this
   // open (check-on-open), or covered by an unbroken callback promise.
@@ -78,9 +86,9 @@ class FileCache {
 
   // Installs whole-file data for a fid, writing the local cache copy (the
   // fetched ref itself, not a copy of its bytes); the first install creates
-  // the copy, later ones overwrite it by inode. Returns the entry; caller
-  // must then call EnforceLimits and notify the custodian about any evicted
-  // fids.
+  // the copy, later ones overwrite it by inode. A directory's entry gets the
+  // index of the new data. Returns the entry; caller must then call
+  // EnforceLimits and notify the custodian about any evicted fids.
   CacheEntry& InstallData(const Fid& fid, const vice::VnodeStatus& status, content::Ref data);
 
   // Reads the cached copy (entry must have data).
@@ -120,15 +128,16 @@ class FileCache {
   // All fids currently cached (diagnostics / tests).
   std::vector<Fid> CachedFids() const;
 
-  // Local unixfs path of the cached copy for `fid`, used only to create and
-  // unlink it. Derived from the fid on demand rather than stored per entry —
-  // at 10k clients the per-entry path strings alone were a measurable share
-  // of Venus's footprint.
+  // Local unixfs path of the cached copy for `fid`, used only to unlink it.
+  // Derived from the fid on demand rather than stored per entry — at 10k
+  // clients the per-entry path strings alone were a measurable share of
+  // Venus's footprint.
   std::string PathFor(const Fid& fid) const;
 
  private:
   unixfs::FileSystem* local_fs_;
   std::string cache_dir_;
+  unixfs::InodeNum cache_dir_inode_ = 0;
   VenusConfig config_;
   std::unordered_map<Fid, CacheEntry, FidHash> entries_;
   uint64_t data_bytes_ = 0;

@@ -359,13 +359,13 @@ Result<VnodeStatus> Venus::EnsureStatus(const Fid& fid) {
   return status;
 }
 
-Result<std::shared_ptr<const Bytes>> Venus::DirBytesOf(const Fid& dir) {
+Result<const vice::DirIndex*> Venus::DirIndexOf(const Fid& dir) {
   bool hit = false;
   ASSIGN_OR_RETURN(CacheEntry * e, EnsureData(dir, &hit));
   if (e->status.type != vice::VnodeType::kDirectory) return Status::kNotDirectory;
-  ASSIGN_OR_RETURN(content::Ref data, cache_.ReadRef(dir));
-  clock_->Advance(cost_.LocalIoTime(data.size()));
-  return data.Buffer();
+  ITC_CHECK(e->dir_index != nullptr);
+  clock_->Advance(cost_.LocalIoTime(e->dir_index->size()));
+  return e->dir_index.get();
 }
 
 void Venus::DropEvicted(const std::vector<Fid>& evicted) {
@@ -496,8 +496,8 @@ Result<Fid> Venus::WalkClient(const std::string& path, bool for_update, bool fol
       continue;
     }
 
-    ASSIGN_OR_RETURN(std::shared_ptr<const Bytes> dir_bytes, DirBytesOf(cur));
-    auto found = vice::LookupDirectory(*dir_bytes, comp);
+    ASSIGN_OR_RETURN(const vice::DirIndex* dir, DirIndexOf(cur));
+    auto found = dir->Find(comp);
     if (!found.ok()) {
       return found.status() == Status::kNotFound ? Status::kNotFound : Status::kInternal;
     }
@@ -804,14 +804,13 @@ Result<VnodeStatus> Venus::Stat(const std::string& path) {
   return EnsureStatus(fid);
 }
 
-Result<std::vector<std::pair<std::string, DirItem>>> Venus::ReadDir(const std::string& path) {
+Result<std::vector<std::string>> Venus::ReadDir(const std::string& path) {
   if (!logged_in()) return Status::kAuthFailed;
   ASSIGN_OR_RETURN(Fid fid, ResolveFinal(path, /*for_update=*/false, /*follow_final=*/true));
-  ASSIGN_OR_RETURN(std::shared_ptr<const Bytes> dir_bytes, DirBytesOf(fid));
-  auto entries = vice::DeserializeDirectory(*dir_bytes);
-  if (!entries.ok()) return Status::kInternal;
-  std::vector<std::pair<std::string, DirItem>> out(entries->begin(), entries->end());
-  return out;
+  ASSIGN_OR_RETURN(const vice::DirIndex* dir, DirIndexOf(fid));
+  auto names = dir->Names();
+  if (!names.ok()) return Status::kInternal;
+  return names;
 }
 
 Status Venus::MkDir(const std::string& path) {

@@ -109,7 +109,8 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
 
   // --- Metadata and name space ---------------------------------------------------
   ITC_KERNEL_ENTRY [[nodiscard]] Result<vice::VnodeStatus> Stat(const std::string& path);
-  ITC_KERNEL_ENTRY [[nodiscard]] Result<std::vector<std::pair<std::string, vice::DirItem>>> ReadDir(const std::string& path);
+  // The directory's names, in order.
+  ITC_KERNEL_ENTRY [[nodiscard]] Result<std::vector<std::string>> ReadDir(const std::string& path);
   ITC_KERNEL_ENTRY [[nodiscard]] Status MkDir(const std::string& path);
   ITC_KERNEL_ENTRY [[nodiscard]] Status Remove(const std::string& path);
   ITC_KERNEL_ENTRY [[nodiscard]] Status RmDir(const std::string& path);
@@ -233,10 +234,11 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   [[nodiscard]] Result<CacheEntry*> EnsureData(const Fid& fid, bool* hit);
   // Ensures valid cached status for `fid`.
   [[nodiscard]] Result<vice::VnodeStatus> EnsureStatus(const Fid& fid);
-  // The cached bytes of directory `dir` (fetched or validated as above),
-  // charged as one local read: what a walk step and ReadDir interpret. The
-  // buffer is the cached one itself, shared with the server that built it.
-  [[nodiscard]] Result<std::shared_ptr<const Bytes>> DirBytesOf(const Fid& dir);
+  // The name index of directory `dir`'s cached data (fetched or validated
+  // as above), charged as one local read of the directory: what a walk step
+  // and ReadDir read. It lives in the cache entry, so use it before the
+  // next call that may replace or evict that entry.
+  [[nodiscard]] Result<const vice::DirIndex*> DirIndexOf(const Fid& dir);
   void DropEvicted(const std::vector<Fid>& evicted);
   void InvalidateDir(const Fid& dir);
   // Stores the cached copy of `fid` to its custodian now.

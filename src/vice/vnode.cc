@@ -1,6 +1,8 @@
 #include "src/vice/vnode.h"
 
-#include <optional>
+#include <algorithm>
+#include <mutex>
+#include <unordered_map>
 
 #include "src/rpc/wire.h"
 
@@ -78,14 +80,69 @@ Result<DirMap> DeserializeDirectory(const Bytes& data) {
   return out;
 }
 
-Result<DirItem> LookupDirectory(const Bytes& data, std::string_view name) {
-  std::optional<DirItem> found;
-  RETURN_IF_ERROR(ForEachEntry(data, [&](std::string_view entry, EntryTail tail) {
-    // The first of duplicate names wins, as DeserializeDirectory's emplace.
-    if (!found && entry == name) found = tail.Decode();
-  }));
-  if (!found) return Status::kNotFound;
-  return *found;
+DirIndex::DirIndex(std::shared_ptr<const Bytes> buffer) : buffer_(std::move(buffer)) {
+  const Bytes& data = *buffer_;
+  // Offsets are 32-bit: a buffer past 4 GiB, four times the largest file a
+  // file system here holds, reads as malformed.
+  if (data.size() > UINT32_MAX) {
+    status_ = Status::kProtocolError;
+    return;
+  }
+  status_ = ForEachEntry(data, [&](std::string_view name, EntryTail) {
+    offsets_.push_back(static_cast<uint32_t>(
+        reinterpret_cast<const uint8_t*>(name.data()) - data.data() - 4));
+  });
+  if (status_ != Status::kOk) return;
+  std::stable_sort(offsets_.begin(), offsets_.end(),
+                   [this](uint32_t a, uint32_t b) { return NameAt(a) < NameAt(b); });
+}
+
+std::shared_ptr<const DirIndex> DirIndex::Of(std::shared_ptr<const Bytes> buffer) {
+  // Keyed by the buffer's address. A live index holds its buffer, so the
+  // address of a live entry still names that buffer; a dead entry is
+  // replaced, and swept every 1024 builds.
+  struct Table {
+    std::mutex mu;
+    std::unordered_map<const Bytes*, std::weak_ptr<const DirIndex>> indexes;
+    size_t builds_since_sweep = 0;
+  };
+  static Table* const table = new Table();
+  std::lock_guard<std::mutex> lock(table->mu);
+  std::weak_ptr<const DirIndex>& slot = table->indexes[buffer.get()];
+  if (auto live = slot.lock()) return live;
+  auto index = std::make_shared<const DirIndex>(std::move(buffer));
+  slot = index;
+  if (++table->builds_since_sweep >= 1024) {
+    table->builds_since_sweep = 0;
+    std::erase_if(table->indexes, [](const auto& entry) { return entry.second.expired(); });
+  }
+  return index;
+}
+
+std::string_view DirIndex::NameAt(uint32_t offset) const {
+  const uint8_t* const p = buffer_->data() + offset;
+  return {reinterpret_cast<const char*>(p + 4), rpc::LoadU32(p)};
+}
+
+Result<DirItem> DirIndex::Find(std::string_view name) const {
+  RETURN_IF_ERROR(status_);
+  // The first offset whose name is not below `name`: with a stable sort,
+  // the first of duplicate names.
+  const auto it = std::partition_point(offsets_.begin(), offsets_.end(),
+                                       [&](uint32_t offset) { return NameAt(offset) < name; });
+  if (it == offsets_.end() || NameAt(*it) != name) return Status::kNotFound;
+  return EntryTail(buffer_->data() + *it + 4 + name.size()).Decode();
+}
+
+Result<std::vector<std::string>> DirIndex::Names() const {
+  RETURN_IF_ERROR(status_);
+  std::vector<std::string> names;
+  names.reserve(offsets_.size());
+  for (const uint32_t offset : offsets_) {
+    const std::string_view name = NameAt(offset);
+    if (names.empty() || names.back() != name) names.emplace_back(name);
+  }
+  return names;
 }
 
 }  // namespace itc::vice

@@ -17,8 +17,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/common/fid.h"
 #include "src/common/result.h"
@@ -63,11 +65,40 @@ using DirMap = std::map<std::string, DirItem>;
 // Directory data encoding shared by Vice (producer) and Venus (consumer).
 Bytes SerializeDirectory(const DirMap& entries);
 [[nodiscard]] Result<DirMap> DeserializeDirectory(const Bytes& data);
-// The entry `name` of serialized directory `data`, found without building
-// the map: what a pathname walk needs at each step. Validates the whole
-// buffer exactly as DeserializeDirectory does (kProtocolError), lets the
-// first of duplicate names win, and reports an absent name as kNotFound.
-[[nodiscard]] Result<DirItem> LookupDirectory(const Bytes& data, std::string_view name);
+
+// The names of one serialized directory buffer, indexed once: what Venus's
+// pathname walk steps and listings read. Building it validates the buffer
+// exactly as DeserializeDirectory does; a malformed buffer makes every
+// lookup return that error (kProtocolError). Each entry's offset is kept,
+// stably sorted by name (a server-built buffer is already sorted), so Find
+// is a binary search and the first of duplicate names wins, as in
+// DeserializeDirectory's map.
+class DirIndex {
+ public:
+  // The index of `buffer`, shared by every holder of that same buffer.
+  // Buffers are one per directory version (the server builds each version's
+  // bytes once, and sealed fetches are interned), so every workstation that
+  // caches a version reads one index. Thread-safe: sharded kernels call it
+  // concurrently.
+  static std::shared_ptr<const DirIndex> Of(std::shared_ptr<const Bytes> buffer);
+
+  explicit DirIndex(std::shared_ptr<const Bytes> buffer);
+
+  // The entry `name`; kNotFound when absent.
+  [[nodiscard]] Result<DirItem> Find(std::string_view name) const;
+  // Every name once, in order (the keys of DeserializeDirectory's map).
+  [[nodiscard]] Result<std::vector<std::string>> Names() const;
+  // Bytes of the indexed buffer.
+  uint64_t size() const { return buffer_->size(); }
+
+ private:
+  std::string_view NameAt(uint32_t offset) const;
+
+  std::shared_ptr<const Bytes> buffer_;
+  Status status_ = Status::kOk;
+  // Offset of each entry's name-length field, sorted by name.
+  std::vector<uint32_t> offsets_;
+};
 
 // Root vnode convention: every volume's root directory is vnode 1,
 // uniquifier 1.

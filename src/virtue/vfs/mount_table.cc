@@ -55,9 +55,8 @@ std::vector<std::pair<std::string, Mount*>> MountTable::entries() const {
 
 std::string MountRelative(const std::string& path, const std::string& prefix) {
   if (prefix == "/") return path;
-  std::string rel = path.substr(prefix.size());
-  if (rel.empty()) rel = "/";
-  return rel;
+  if (path.size() == prefix.size()) return "/";
+  return path.substr(prefix.size());
 }
 
 }  // namespace itc::virtue::vfs

@@ -67,11 +67,7 @@ Result<FileInfo> VenusMount::Stat(const std::string& rel) {
 }
 
 Result<std::vector<std::string>> VenusMount::List(const std::string& rel) {
-  ASSIGN_OR_RETURN(auto entries, venus_->ReadDir(rel));
-  std::vector<std::string> names;
-  names.reserve(entries.size());
-  for (const auto& [name, item] : entries) names.push_back(name);
-  return names;
+  return venus_->ReadDir(rel);
 }
 
 Status VenusMount::MkDir(const std::string& rel) { return venus_->MkDir(rel); }

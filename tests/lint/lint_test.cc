@@ -633,7 +633,9 @@ TEST(Lexer, LineCommentContinuationSwallowsTheNextLine) {
 TEST(Lexer, CustomDelimiterRawStringsAndMalformedFallback) {
   LexedFile f = Lex("src/x.cc", "auto s = R\"x(rand())x\"; int y;\n");
   for (const Token& t : f.tokens) {
-    if (t.kind != TokKind::kString) EXPECT_NE(t.text, "rand");
+    if (t.kind != TokKind::kString) {
+      EXPECT_NE(t.text, "rand");
+    }
   }
   // A delimiter longer than 16 chars is not a raw string; the lexer must not
   // crash or swallow the rest of the file.

@@ -397,6 +397,47 @@ TEST_F(VenusTest, FetchAccountingIsTheSameSealedOrNot) {
   EXPECT_EQ(unsealed, sealed);
 }
 
+// Workstations that cache the same version of a directory read one name
+// index, over sealed and unsealed connections alike. A callback break leads
+// to the next version's index: the walk finds a name the old index lacks.
+TEST_F(VenusTest, WorkstationsShareOneDirIndexPerVersion) {
+  for (const bool encrypt : {false, true}) {
+    SCOPED_TRACE(encrypt ? "sealed" : "unsealed");
+    CampusConfig config = CampusConfig::Revised(1, 2);
+    config.rpc.encrypt = encrypt;
+    Build(config);
+    auto& writer = Login(0);
+    auto& reader = Login(1);
+    ASSERT_EQ(writer.WriteWholeFile("/vice/usr/alice/a", ToBytes("a")), Status::kOk);
+    ASSERT_TRUE(writer.ReadWholeFile("/vice/usr/alice/a").ok());
+    ASSERT_TRUE(reader.ReadWholeFile("/vice/usr/alice/a").ok());
+
+    const Fid home = vice::VolumeRootFid(alice_.volume);
+    auto index_of = [&](virtue::Workstation& ws) {
+      const CacheEntry* e = ws.venus().cache().Find(home);
+      return e == nullptr ? nullptr : e->dir_index;
+    };
+    const std::shared_ptr<const vice::DirIndex> old_index = index_of(reader);
+    ASSERT_NE(old_index, nullptr);
+    EXPECT_EQ(index_of(writer), old_index);
+
+    const uint64_t breaks = reader.venus().stats().callback_breaks_received;
+    ASSERT_EQ(writer.WriteWholeFile("/vice/usr/alice/b", ToBytes("b")), Status::kOk);
+    EXPECT_GT(reader.venus().stats().callback_breaks_received, breaks);
+    EXPECT_EQ(old_index->Find("b").status(), Status::kNotFound);
+
+    auto data = reader.ReadWholeFile("/vice/usr/alice/b");
+    ASSERT_TRUE(data.ok());
+    EXPECT_EQ(ToString(*data), "b");
+    const std::shared_ptr<const vice::DirIndex> new_index = index_of(reader);
+    ASSERT_NE(new_index, nullptr);
+    EXPECT_NE(new_index, old_index);
+    EXPECT_TRUE(new_index->Find("b").ok());
+    ASSERT_TRUE(writer.ReadWholeFile("/vice/usr/alice/b").ok());
+    EXPECT_EQ(index_of(writer), new_index);
+  }
+}
+
 TEST_F(VenusTest, DroppedFetchReplyInstallsNothing) {
   Build(Unsealed(1));
   const content::Ref contents = TailedContents();

@@ -350,7 +350,7 @@ TEST_F(VolumeTest, SalvagedDanglingEntryGetsANewBuffer) {
                              VolumeType::kReadWrite);
   ASSERT_TRUE(vol.ok());
   const auto damaged = (*vol)->FetchRef((*vol)->root())->tail();
-  ASSERT_TRUE(LookupDirectory(*damaged, "ghost").ok());
+  ASSERT_TRUE(DirIndex(damaged).Find("ghost").ok());
   const uint64_t version = (*vol)->GetStatus((*vol)->root())->version;
 
   const Volume::SalvageReport report = (*vol)->Salvage();
@@ -361,7 +361,7 @@ TEST_F(VolumeTest, SalvagedDanglingEntryGetsANewBuffer) {
   EXPECT_EQ((*vol)->GetStatus((*vol)->root())->version, version);
   const auto repaired = (*vol)->FetchRef((*vol)->root())->tail();
   EXPECT_NE(repaired, damaged);
-  EXPECT_EQ(LookupDirectory(*repaired, "ghost").status(), Status::kNotFound);
+  EXPECT_EQ(DirIndex(repaired).Find("ghost").status(), Status::kNotFound);
   ExpectDirectoriesMatchEntries(**vol);
 }
 
