@@ -169,7 +169,6 @@ UserDayLab::UserDayLab(UserDayLabConfig config) : config_(std::move(config)) {
 
 SimTime UserDayLab::Run() {
   sim::Scheduler sched;
-  sched.set_backend(config_.kernel_backend);
   sched.set_shard_count(config_.shard_count);
   sched.set_lookahead(config_.campus.cost.BackboneLookahead());
   // User i drives workstation i; its shard domain is that workstation's

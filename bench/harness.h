@@ -70,11 +70,8 @@ struct UserDayLabConfig {
   workload::UserDayConfig user_day;
   bool replicate_system_volume = false;
   uint64_t seed = 20251985;
-  // Fiber by default; bench_kernel_throughput runs both to compare wall-clock
-  // cost. Backend choice cannot affect simulated results (docs/KERNEL.md).
-  sim::KernelBackend kernel_backend = sim::DefaultKernelBackend();
   // Shards to run the day on, at most one per cluster (1 = the solo
-  // kernel). Shard count cannot affect simulated results either.
+  // kernel). Shard count cannot affect simulated results.
   uint32_t shard_count = 1;
 };
 

@@ -105,9 +105,6 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
   if (conn_it == connections_.end()) return Status::kConnectionBroken;
   ConnState& conn = conn_it->second;
 
-  stats_.calls += 1;
-  stats_.request_bytes += sealed_request.size();
-
   Bytes request;
   if (config_.encrypt) {
     auto opened = crypto::Open(conn.secret.session_key, sealed_request);
@@ -182,7 +179,6 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
 
   ASSIGN_OR_RETURN(Bytes reply, chain_->Run(info, body, terminal));
 
-  stats_.reply_bytes += reply.size() + BulkSize(info.bulk);
   if (info.bulk.has_value()) {
     // The one splice path: a sealed envelope covers every byte, and a
     // caller without a slot reads the inline layout.

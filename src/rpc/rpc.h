@@ -156,10 +156,8 @@ class Service {
   [[nodiscard]] virtual Result<Bytes> Dispatch(CallContext& ctx, uint32_t proc, const Bytes& request) = 0;
 };
 
+// Session counters; per-call counts and bytes live in CallStats.
 struct RpcStats {
-  uint64_t calls = 0;
-  uint64_t request_bytes = 0;
-  uint64_t reply_bytes = 0;
   uint64_t handshakes = 0;
   uint64_t auth_failures = 0;
 };

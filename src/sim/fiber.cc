@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cstdint>
-#include <cstdlib>
 
 #include "src/common/logging.h"
 
@@ -118,6 +117,9 @@ namespace itc::sim {
 
 namespace {
 
+// The usable bytes of every stack; a guard page sits below them.
+constexpr size_t kStackBytes = 256 * 1024;
+
 // What itc_sim_fiber_switch pops, lowest address first.
 struct SwitchFrame {
   uint32_t mxcsr = 0;
@@ -139,7 +141,7 @@ static_assert(sizeof(SwitchFrame) % 16 == 0);
 // last frames poisoned, and no interceptor clears them on this switch.
 inline void AsanUnpoisonStack(const FiberStack* stack) {
 #if ITC_FIBER_ASAN
-  __asan_unpoison_memory_region(stack->limit, stack->size);
+  __asan_unpoison_memory_region(stack->limit, kStackBytes);
 #else
   (void)stack;
 #endif
@@ -207,29 +209,12 @@ inline void TsanSwitchToFiber(void* fiber) {
 #endif
 }
 
-size_t ConfiguredStackBytes() {
-  size_t bytes = 256 * 1024;
-  if (const char* env = std::getenv("ITCFS_FIBER_STACK_KB")) {
-    const long kb = std::strtol(env, nullptr, 10);
-    if (kb >= 64) bytes = static_cast<size_t>(kb) * 1024;
-  }
-  return bytes;
-}
-
-bool ConfiguredGuardPage() {
-  if (const char* env = std::getenv("ITCFS_FIBER_GUARD")) return env[0] != '0';
-  return true;
-}
-
 }  // namespace
 
 FiberStackPool& FiberStackPool::Instance() {
   static FiberStackPool pool;
   return pool;
 }
-
-FiberStackPool::FiberStackPool()
-    : stack_bytes_(ConfiguredStackBytes()), guard_page_(ConfiguredGuardPage()) {}
 
 FiberStack* FiberStackPool::Acquire() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -240,18 +225,13 @@ FiberStack* FiberStackPool::Acquire() {
     --free_count_;
     return s;
   }
-  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-  const size_t guard = guard_page_ ? page : 0;
-  const size_t map_size = stack_bytes_ + guard;
-  void* m = mmap(nullptr, map_size, PROT_READ | PROT_WRITE,
+  const size_t guard = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  void* m = mmap(nullptr, kStackBytes + guard, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
   ITC_CHECK(m != MAP_FAILED);
-  if (guard != 0) ITC_CHECK(mprotect(m, guard, PROT_NONE) == 0);
+  ITC_CHECK(mprotect(m, guard, PROT_NONE) == 0);
   auto* s = new FiberStack;
-  s->mapping = m;
-  s->mapping_size = map_size;
   s->limit = static_cast<unsigned char*>(m) + guard;
-  s->size = stack_bytes_;
   ++created_;
   return s;
 }
@@ -291,7 +271,7 @@ void Fiber::Start(Entry entry, void* arg) {
   arg_ = arg;
   started_ = true;
   const uintptr_t top =
-      reinterpret_cast<uintptr_t>(stack_->limit + stack_->size) & ~uintptr_t{15};
+      reinterpret_cast<uintptr_t>(stack_->limit + kStackBytes) & ~uintptr_t{15};
   auto* frame = reinterpret_cast<SwitchFrame*>(top - sizeof(SwitchFrame));
   *frame = SwitchFrame{};
   // The fiber starts with the starter's rounding and exception masks.
@@ -313,7 +293,7 @@ void Fiber::Trampoline(Fiber* f) {
 void Fiber::Resume() {
   ITC_CHECK(started_ && !exited_ && stack_ != nullptr);
   void* caller_fake = nullptr;
-  AsanStartSwitch(&caller_fake, stack_->limit, stack_->size);
+  AsanStartSwitch(&caller_fake, stack_->limit, kStackBytes);
   tsan_caller_ = TsanCurrentFiber();
   TsanSwitchToFiber(tsan_fiber_);
   itc_sim_fiber_switch(&caller_sp_, sp_);

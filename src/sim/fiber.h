@@ -19,9 +19,7 @@
 // links it is marked for user shadow stacks, under which a return onto
 // another stack faults (docs/KERNEL.md).
 //
-// Stack size is configurable via ITCFS_FIBER_STACK_KB (default 256 KB,
-// minimum 64 KB, read once at first use); each stack optionally carries a
-// PROT_NONE guard page at its low end (ITCFS_FIBER_GUARD=0 disables) so an
+// Every stack is 256 KB with a PROT_NONE guard page at its low end, so an
 // overflow faults instead of corrupting a neighbouring mapping. Stacks are
 // mmap-ed, linked through an intrusive freelist, and never unmapped: the pool
 // lives for the process, which is what makes reuse across Scheduler::RunAll
@@ -34,9 +32,7 @@
 // context with __tsan_switch_to_fiber called right before each switch, so
 // TSan's shadow state follows execution across stack switches instead of
 // reporting phantom races between frames of the same logical thread.
-// Without a sanitizer the annotations compile to nothing. The OS-thread
-// kernel backend (KernelBackend::kThread) remains the annotation-free
-// reference implementation, and is what the TSan CI leg pins.
+// Without a sanitizer the annotations compile to nothing.
 
 #ifndef SRC_SIM_FIBER_H_
 #define SRC_SIM_FIBER_H_
@@ -47,20 +43,18 @@
 namespace itc::sim {
 
 // One pooled stack mapping. `limit` is the lowest usable address (just above
-// the guard page when one is present); a fiber's stack grows down from
-// limit + size. Pool-owned; fibers borrow via Acquire/Release.
+// the guard page); a fiber's stack grows down from limit + 256 KB.
+// Pool-owned; fibers borrow via Acquire/Release.
 struct FiberStack {
   unsigned char* limit = nullptr;
-  size_t size = 0;
-  void* mapping = nullptr;
-  size_t mapping_size = 0;
   FiberStack* next = nullptr;  // intrusive freelist link
 };
 
 // Process-wide stack pool. Acquire pops the freelist (mmap only on a miss);
-// Release pushes back. The mutex is uncontended in practice — the kernel
-// acquires/releases per *activity*, never per event — and exists only so
-// thread-backend tests and fiber-backend tests can share one process safely.
+// Release pushes back. The kernel acquires and releases per *activity*,
+// never per event, so the mutex is rarely contended; it is there because a
+// sharded kernel group takes stacks from several OS threads at once, one
+// per shard.
 class FiberStackPool {
  public:
   static FiberStackPool& Instance();
@@ -73,17 +67,14 @@ class FiberStackPool {
   size_t created() const;
   // Stacks currently in the freelist; equals created() when no fiber is live.
   size_t free_count() const;
-  size_t stack_bytes() const { return stack_bytes_; }
 
  private:
-  FiberStackPool();
+  FiberStackPool() = default;
 
   mutable std::mutex mu_;
   FiberStack* free_ = nullptr;
   size_t created_ = 0;
   size_t free_count_ = 0;
-  size_t stack_bytes_ = 0;
-  bool guard_page_ = true;
 };
 
 // A stackful cooperative context. Lifecycle: Start (borrows a pooled stack),

@@ -1,8 +1,6 @@
 #include "src/sim/kernel.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -41,19 +39,6 @@ struct Kernel::Activity {
 thread_local Kernel* Kernel::current_kernel_ = nullptr;
 thread_local Kernel::Activity* Kernel::current_activity_ = nullptr;
 
-KernelBackend DefaultKernelBackend() {
-  static const KernelBackend backend = [] {
-    const char* env = std::getenv("ITCFS_KERNEL_BACKEND");
-    if (env != nullptr && std::strcmp(env, "thread") == 0) return KernelBackend::kThread;
-    return KernelBackend::kFiber;
-  }();
-  return backend;
-}
-
-const char* KernelBackendName(KernelBackend backend) {
-  return backend == KernelBackend::kFiber ? "fiber" : "thread";
-}
-
 Kernel::Kernel(KernelBackend backend) : backend_(backend) {}
 
 Kernel::~Kernel() {
@@ -84,7 +69,7 @@ void Kernel::PushEvent(SimTime time, Activity* activity, bool may_grow) {
   // a crash instead of a silent allocation. Kernels in a group are exempt:
   // activities migrated in add events beyond the spawn-time bound.
   if (!may_grow) ITC_CHECK(heap_.size() < heap_.capacity());
-  // itcfs-lint: allow(no-alloc-in-kernel-hot-path-transitive) -- capacity-checked above; steady state never grows
+  // itcfs-lint: allow(no-alloc-in-kernel-hot-path) -- capacity-checked above; steady state never grows
   heap_.push_back(Event{time, next_seq_++, activity});
   std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
 }
@@ -92,7 +77,7 @@ void Kernel::PushEvent(SimTime time, Activity* activity, bool may_grow) {
 void Kernel::PushArrival(SimTime time, uint64_t seq, Activity* activity) {
   ITC_CHECK(time >= now_);  // the conservative gate kept us below this arrival
   activity->host = this;
-  // itcfs-lint: allow(no-alloc-in-kernel-hot-path-transitive) -- arrival rate is bounded by cross-shard traffic, not the event rate
+  // itcfs-lint: allow(no-alloc-in-kernel-hot-path) -- arrival rate is bounded by cross-shard traffic, not the event rate
   heap_.push_back(Event{time, seq, activity});
   std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
 }
@@ -215,7 +200,7 @@ void Kernel::DrainMail() {
     mail_min_.store(kNeverSimTime);
   }
   for (const Mail& m : taken) {
-    // itcfs-lint: allow(no-alloc-in-kernel-hot-path-transitive) -- adoption rate is bounded by cross-shard one-shot posts, not the event rate
+    // itcfs-lint: allow(no-alloc-in-kernel-hot-path) -- adoption rate is bounded by cross-shard one-shot posts, not the event rate
     if (m.adopt) activities_.emplace_back(m.activity);
     PushArrival(m.time, m.seq, m.activity);
   }

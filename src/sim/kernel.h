@@ -12,7 +12,8 @@
 //
 // Mechanism — two interchangeable backends, selected per kernel:
 //
-//   KernelBackend::kFiber (default): each activity is a pooled stackful
+//   KernelBackend::kFiber (the default, and the only one that runs outside
+//   the equivalence tests): each activity is a pooled stackful
 //   fiber (src/sim/fiber.h). Suspension is one user-space context switch —
 //   no mutex, no condvar, no OS scheduler — and the steady-state event loop
 //   performs zero allocations per event: the event heap is a pre-sized
@@ -24,14 +25,13 @@
 //   KernelBackend::kThread: the original model — each activity on its own
 //   OS thread, exactly one per kernel ever runnable, parked on a
 //   per-activity mutex/condvar pair and handed the baton by Dispatch.
-//   Retained as the sanitizer-safe reference implementation and as the
-//   wall-clock baseline bench_kernel_throughput measures the fiber backend
-//   against.
+//   Retained only as the reference the equivalence tests diff the fiber
+//   backend against; nothing selects it but an explicit kThread argument.
 //
 // Backend choice can never affect simulated time or event order: both
 // backends drive the same heap with the same sequence numbers and differ
-// only in how an activity's host-side execution is parked and resumed. The
-// backend-equivalence tests in tests/sim/ pin byte-identical traces.
+// only in how an activity's host-side execution is parked and resumed.
+// tests/sim/kernel_backend_test.cc pins byte-identical traces.
 //
 // Sharded operation (see src/sim/kernel_group.h): a KernelGroup runs one
 // Kernel per shard, each on its own OS thread, synchronized conservatively
@@ -82,17 +82,12 @@ struct TraceEntry {
   bool operator==(const TraceEntry& other) const = default;
 };
 
-// How activities are parked and resumed; see the header comment.
+// How activities are parked and resumed; see the header comment. Affects
+// wall-clock only — simulated results are backend-independent.
 enum class KernelBackend {
   kFiber,
   kThread,
 };
-
-// kFiber unless the ITCFS_KERNEL_BACKEND environment variable says "thread"
-// (read once; CI pins the sanitizer leg with it). Affects wall-clock only —
-// simulated results are backend-independent.
-KernelBackend DefaultKernelBackend();
-const char* KernelBackendName(KernelBackend backend);
 
 // "No pending time": comparisons treat it as later than every real SimTime.
 inline constexpr SimTime kNeverSimTime = std::numeric_limits<SimTime>::max();
@@ -104,12 +99,10 @@ class Kernel {
   // simulated day runs.
   static constexpr size_t kDefaultTraceCapacity = 1u << 16;
 
-  explicit Kernel(KernelBackend backend = DefaultKernelBackend());
+  explicit Kernel(KernelBackend backend = KernelBackend::kFiber);
   ~Kernel();
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
-
-  KernelBackend backend() const { return backend_; }
 
   // Registers an activity whose body starts at virtual time max(start, now()).
   // Must be called from outside the kernel (not from an activity body).

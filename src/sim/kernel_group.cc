@@ -10,7 +10,7 @@
 namespace itc::sim {
 
 KernelGroup::KernelGroup(uint32_t shard_count, KernelBackend backend, SimTime lookahead)
-    : backend_(backend), lookahead_(lookahead) {
+    : lookahead_(lookahead) {
   ITC_CHECK(shard_count >= 1);
   ITC_CHECK(lookahead > 0);  // zero lookahead would deadlock the gate
   shards_.reserve(shard_count);

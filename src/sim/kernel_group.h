@@ -61,7 +61,8 @@ class KernelGroup {
  public:
   // `lookahead` is the minimum virtual-time distance of any cross-shard
   // message (sim::CostModel::BackboneLookahead() for the campus network);
-  // every MigrateToDomain/Post timestamp is checked against it.
+  // every MigrateToDomain/Post timestamp is checked against it. Every shard
+  // parks its activities with `backend`.
   KernelGroup(uint32_t shard_count, KernelBackend backend, SimTime lookahead);
   ~KernelGroup();
   KernelGroup(const KernelGroup&) = delete;
@@ -69,7 +70,6 @@ class KernelGroup {
 
   uint32_t shard_count() const { return static_cast<uint32_t>(shards_.size()); }
   SimTime lookahead() const { return lookahead_; }
-  KernelBackend backend() const { return backend_; }
 
   // Domain (cluster) -> shard placement. Stable for the life of the group.
   uint32_t ShardOfDomain(uint32_t domain) const { return domain % shard_count(); }
@@ -141,7 +141,6 @@ class KernelGroup {
 
   void RunShardThread(uint32_t i);
 
-  const KernelBackend backend_;
   const SimTime lookahead_;
   std::vector<std::unique_ptr<Kernel>> shards_;
 

@@ -51,10 +51,10 @@ class Scheduler {
     domains_.push_back(domain);
   }
 
-  // Selects how the kernel parks and resumes activities. Affects wall-clock
+  // Selects how the kernel parks and resumes activities: fibers unless an
+  // equivalence test asks for the thread reference. Affects wall-clock
   // throughput, never simulated results.
   void set_backend(KernelBackend backend) { backend_ = backend; }
-  KernelBackend backend() const { return backend_; }
 
   // Runs min(n, domains) shards (n >= 1), domain d on shard d % shards: one
   // (the default) runs the solo kernel, more run a KernelGroup. A
@@ -97,7 +97,7 @@ class Scheduler {
 
   std::vector<Process*> processes_;
   std::vector<uint32_t> domains_;  // parallel to processes_
-  KernelBackend backend_ = DefaultKernelBackend();
+  KernelBackend backend_ = KernelBackend::kFiber;
   uint32_t shard_count_ = 1;
   SimTime lookahead_ = 0;  // required for more than one shard
   uint32_t shards_used_ = 0;

@@ -77,13 +77,6 @@ void IntentionLog::MarkAborted(uint64_t lsn) {
   rec->state = IntentState::kAborted;
 }
 
-Bytes EncodeStore(const Fid& fid, const Bytes& data) {
-  rpc::Writer w;
-  w.PutFid(fid);
-  w.PutBytes(data);
-  return w.Take();
-}
-
 Bytes EncodeCreateFile(const Fid& dir, const std::string& name, UserId owner,
                        uint16_t mode) {
   rpc::Writer w;
@@ -163,11 +156,9 @@ Status ApplyIntention(Volume& vol, const Intention& rec) {
   switch (rec.kind) {
     case IntentKind::kStore: {
       ASSIGN_OR_RETURN(Fid fid, r.FidField());
-      // AppendStore records end at the fid and carry the contents as a ref;
-      // EncodeStore records (legacy/test-crafted) carry literal bytes.
-      if (r.AtEnd()) return vol.StoreRef(fid, rec.contents);
-      ASSIGN_OR_RETURN(Bytes data, r.BytesField());
-      return vol.StoreData(fid, std::move(data));
+      // AppendStore records end at the fid and carry the contents as a ref.
+      if (!r.AtEnd()) return Status::kProtocolError;
+      return vol.StoreRef(fid, rec.contents);
     }
     case IntentKind::kCreateFile: {
       ASSIGN_OR_RETURN(Fid dir, r.FidField());

@@ -76,10 +76,11 @@ class IntentionLog {
  public:
   // Appends a new record in state kLogged and returns its LSN.
   uint64_t Append(IntentKind kind, VolumeId volume, SimTime when, Bytes payload);
-  // Appends a kStore record carrying `contents` by reference. bytes_appended
-  // (and the caller's disk charge) must stay what the materialized encoding
-  // EncodeStore(fid, bytes) would have measured, so the representation can
-  // never change simulated times; LogicalStoreRecordBytes is that size.
+  // Appends a kStore record: the payload is the fid, and `contents` rides
+  // by reference. bytes_appended (and the caller's disk charge) count the
+  // logical record, the fid followed by the length-prefixed bytes, so the
+  // representation can never change simulated times;
+  // LogicalStoreRecordBytes is that size.
   uint64_t AppendStore(VolumeId volume, SimTime when, const Fid& fid, content::Ref contents);
   static uint64_t LogicalStoreRecordBytes(uint64_t data_size) { return 12 + 4 + data_size; }
   void MarkCommitted(uint64_t lsn);
@@ -104,11 +105,9 @@ class IntentionLog {
 };
 
 // --- Payload encoders --------------------------------------------------------
-// One per IntentKind. MakeDir ACL inheritance is resolved by the caller
-// before logging so replay needs no out-of-band context.
-// EncodeStore is the legacy byte-copying form; the server logs stores via
-// AppendStore (ref-carrying) instead. Replay accepts both.
-Bytes EncodeStore(const Fid& fid, const Bytes& data);
+// One per IntentKind but kStore, which IntentionLog::AppendStore writes.
+// MakeDir ACL inheritance is resolved by the caller before logging so replay
+// needs no out-of-band context.
 Bytes EncodeCreateFile(const Fid& dir, const std::string& name, UserId owner, uint16_t mode);
 Bytes EncodeMakeDir(const Fid& dir, const std::string& name, UserId owner,
                     const Bytes& acl_bytes);

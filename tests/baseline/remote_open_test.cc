@@ -49,10 +49,10 @@ TEST_F(RemoteOpenTest, WriteThenReadWholeFile) {
 TEST_F(RemoteOpenTest, EveryPageIsAnRpc) {
   const Bytes data(10 * kPageSize, 1);
   ASSERT_EQ(client_.WriteWholeFile("/f", data), Status::kOk);
-  const uint64_t calls_before = server_.endpoint().stats().calls;
+  const uint64_t calls_before = server_.endpoint().call_stats().total_calls();
   ASSERT_TRUE(client_.ReadWholeFile("/f").ok());
   // Stat + open + 10 page reads + close = 13 calls.
-  EXPECT_EQ(server_.endpoint().stats().calls - calls_before, 13u);
+  EXPECT_EQ(server_.endpoint().call_stats().total_calls() - calls_before, 13u);
 }
 
 TEST_F(RemoteOpenTest, SparseReadTouchesOnePage) {
@@ -60,11 +60,11 @@ TEST_F(RemoteOpenTest, SparseReadTouchesOnePage) {
   ASSERT_EQ(server_.storage().WriteFile("/big", data), Status::kOk);  // direct population
   auto handle = client_.Open("/big", false);
   ASSERT_TRUE(handle.ok());
-  const uint64_t calls_before = server_.endpoint().stats().calls;
+  const uint64_t calls_before = server_.endpoint().call_stats().total_calls();
   auto page = client_.Read(*handle, 50 * kPageSize, 100);
   ASSERT_TRUE(page.ok());
   EXPECT_EQ(page->size(), 100u);
-  EXPECT_EQ(server_.endpoint().stats().calls - calls_before, 1u);
+  EXPECT_EQ(server_.endpoint().call_stats().total_calls() - calls_before, 1u);
   EXPECT_EQ(client_.Close(*handle), Status::kOk);
 }
 

@@ -1,6 +1,6 @@
-// no-alloc-in-kernel-hot-path-transitive negative fixture: reachable helpers
-// only write into pre-sized storage or carry a reasoned suppression, and
-// allocation in code the kernel cannot reach is out of scope.
+// no-alloc-in-kernel-hot-path negative fixture (call-graph half): reachable
+// helpers only write into pre-sized storage or carry a reasoned suppression,
+// and allocation in code the kernel cannot reach is out of scope.
 class Kernel {
  public:
   void Run() {
@@ -13,7 +13,7 @@ class Kernel {
   void Pump() { buf_[head_] = 1; }
   void Park(long t) { queue_[head_++] = t; }  // pre-sized in-place write
   void Cold() {
-    // itcfs-lint: allow(no-alloc-in-kernel-hot-path-transitive) -- startup growth only
+    // itcfs-lint: allow(no-alloc-in-kernel-hot-path) -- startup growth only
     queue_.push_back(0);
   }
 

@@ -216,7 +216,7 @@ TEST_F(RpcTest, EchoRoundTrip) {
   EXPECT_EQ(*reply, payload);
   EXPECT_EQ(service_.last_user, kUser);
   EXPECT_EQ(service_.last_proc, 1u);
-  EXPECT_EQ(server->stats().calls, 1u);
+  EXPECT_EQ(server->call_stats().total_calls(), 1u);
 }
 
 TEST_F(RpcTest, HandshakeAdvancesClock) {
@@ -368,7 +368,7 @@ TEST_F(RpcTest, BulkTravelsBesideOnlyToATakerOnAnUnsealedConnection) {
     EXPECT_TRUE(reply.ok());
     out.reply = *reply;
     out.elapsed = clock_.now() - t0;
-    out.reply_bytes = server->stats().reply_bytes;
+    out.reply_bytes = server->call_stats().total_bytes_out();
     return out;
   };
 

@@ -30,7 +30,7 @@ TEST(IntentionLogTest, AppendCommitAbortLifecycle) {
   EXPECT_TRUE(log.empty());
 
   const Fid fid{1, 2, 3};
-  const uint64_t a = log.Append(IntentKind::kStore, 1, 10, recovery::EncodeStore(fid, ToBytes("x")));
+  const uint64_t a = log.AppendStore(1, 10, fid, content::Ref::Canonicalize(ToBytes("x")));
   const uint64_t b = log.Append(IntentKind::kRemoveFile, 1, 20, recovery::EncodeRemove(fid, "f"));
   const uint64_t c = log.Append(IntentKind::kSetAcl, 1, 30, recovery::EncodeSetAcl(fid, Bytes{}));
   EXPECT_LT(a, b);
@@ -50,7 +50,7 @@ TEST(IntentionLogTest, AppendCommitAbortLifecycle) {
   // bytes_appended counts lifetime log traffic, not live records.
   EXPECT_EQ(log.bytes_appended(), bytes_before);
   // LSNs keep increasing across truncation.
-  EXPECT_GT(log.Append(IntentKind::kStore, 1, 40, recovery::EncodeStore(fid, Bytes{})), c);
+  EXPECT_GT(log.AppendStore(1, 40, fid, content::Ref{}), c);
 }
 
 TEST(IntentionLogTest, ApplyIntentionReplaysAStore) {
@@ -61,12 +61,21 @@ TEST(IntentionLogTest, ApplyIntentionReplaysAStore) {
 
   IntentionLog log;
   const uint64_t lsn =
-      log.Append(IntentKind::kStore, 7, 99, recovery::EncodeStore(f, ToBytes("replayed")));
+      log.AppendStore(7, 99, f, content::Ref::Canonicalize(ToBytes("replayed")));
   log.MarkCommitted(lsn);
   ASSERT_EQ(recovery::ApplyIntention(vol, log.records()[0]), Status::kOk);
   EXPECT_EQ(ToString(*vol.FetchData(f)), "replayed");
   // The replay stamped the record's time onto the volume clock.
   EXPECT_EQ((*vol.Lookup(f))->status.mtime, 99);
+
+  // A store record carries its contents by reference only: literal bytes
+  // after the fid are a malformed record, not a second encoding.
+  rpc::Writer w;
+  w.PutFid(f);
+  w.PutBytes(ToBytes("literal"));
+  log.MarkCommitted(log.Append(IntentKind::kStore, 7, 100, w.Take()));
+  EXPECT_EQ(recovery::ApplyIntention(vol, log.records()[1]), Status::kProtocolError);
+  EXPECT_EQ(ToString(*vol.FetchData(f)), "replayed");
 }
 
 // --- StableStore in isolation -------------------------------------------------

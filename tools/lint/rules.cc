@@ -589,65 +589,6 @@ void CheckResourceServeOutsideKernel(const LexedFile& f, std::vector<Diagnostic>
   }
 }
 
-// --- no-alloc-in-kernel-hot-path ----------------------------------------------------
-
-const std::set<std::string>& ContainerGrowthCalls() {
-  // Member calls that can grow a container (and therefore allocate). pop_back
-  // and in-place writes (`buf[i] = x`) are deliberately absent: the hot path
-  // may shrink and overwrite, it may not grow.
-  static const std::set<std::string> g = {"push_back", "emplace_back", "push",
-                                          "emplace",   "insert",       "resize",
-                                          "reserve",   "assign",       "append"};
-  return g;
-}
-
-// Description of the allocation starting at token j ("'new'", "container
-// growth ('push_back')"), or "" when j does not allocate. Shared by the
-// direct hot-path rule and its transitive extension.
-std::string AllocAt(const Toks& t, size_t j) {
-  if (!IsIdent(t, j)) return "";
-  const std::string& name = t[j].text;
-  if (name == "new") return "'new'";
-  if ((name == "make_unique" || name == "make_shared") &&
-      (Is(t, j + 1, "<") || Is(t, j + 1, "("))) {
-    return "'" + name + "'";
-  }
-  if (ContainerGrowthCalls().count(name) > 0 && Is(t, j + 1, "(") && j > 0 &&
-      (t[j - 1].text == "." || t[j - 1].text == "->")) {
-    return "container growth ('" + name + "')";
-  }
-  return "";
-}
-
-void CheckNoAllocInKernelHotPath(const LexedFile& f, std::vector<Diagnostic>& out) {
-  const Toks& t = f.tokens;
-  for (size_t i = 0; i + 3 < t.size(); ++i) {
-    // Kernel::Name ( ... ) ... { body }
-    if (!Is(t, i, "Kernel") || !Is(t, i + 1, "::") || !IsIdent(t, i + 2) ||
-        !Is(t, i + 3, "(")) {
-      continue;
-    }
-    const std::string& fname = t[i + 2].text;
-    const bool hot = fname == "Dispatch" || fname.rfind("Run", 0) == 0;
-    size_t k = SkipBalanced(t, i + 3, "(", ")");
-    while (k < t.size() && !Is(t, k, "{") && !Is(t, k, ";")) ++k;
-    if (k >= t.size() || Is(t, k, ";")) continue;
-    const size_t body_end = SkipBalanced(t, k, "{", "}");
-    if (hot) {
-      for (size_t j = k; j < body_end; ++j) {
-        std::string what = AllocAt(t, j);
-        if (!what.empty()) {
-          Emit(out, f, t[j].line, "no-alloc-in-kernel-hot-path",
-               what + " in Kernel::" + fname +
-                   ": the steady-state event loop must not allocate per event; "
-                   "pre-size in Spawn/EnableTrace or suppress for a cold path");
-        }
-      }
-    }
-    i = body_end - 1;
-  }
-}
-
 // --- assert rules -------------------------------------------------------------------
 
 void CheckAsserts(const LexedFile& f, bool run_side_effect, bool run_header,
@@ -879,12 +820,39 @@ void CheckKernelOwnership(const SymbolIndex& idx, const CallGraph& g,
   }
 }
 
-// --- no-alloc-in-kernel-hot-path-transitive -----------------------------------------
+// --- no-alloc-in-kernel-hot-path ----------------------------------------------------
 
-void CheckNoAllocTransitive(const SymbolIndex& idx, const CallGraph& g,
-                            std::vector<Diagnostic>& out) {
+const std::set<std::string>& ContainerGrowthCalls() {
+  // Member calls that can grow a container (and therefore allocate). pop_back
+  // and in-place writes (`buf[i] = x`) are deliberately absent: the hot path
+  // may shrink and overwrite, it may not grow.
+  static const std::set<std::string> g = {"push_back", "emplace_back", "push",
+                                          "emplace",   "insert",       "resize",
+                                          "reserve",   "assign",       "append"};
+  return g;
+}
+
+// Description of the allocation starting at token j ("'new'", "container
+// growth ('push_back')"), or "" when j does not allocate.
+std::string AllocAt(const Toks& t, size_t j) {
+  if (!IsIdent(t, j)) return "";
+  const std::string& name = t[j].text;
+  if (name == "new") return "'new'";
+  if ((name == "make_unique" || name == "make_shared") &&
+      (Is(t, j + 1, "<") || Is(t, j + 1, "("))) {
+    return "'" + name + "'";
+  }
+  if (ContainerGrowthCalls().count(name) > 0 && Is(t, j + 1, "(") && j > 0 &&
+      (t[j - 1].text == "." || t[j - 1].text == "->")) {
+    return "container growth ('" + name + "')";
+  }
+  return "";
+}
+
+void CheckNoAllocInKernelHotPath(const SymbolIndex& idx, const CallGraph& g,
+                                 std::vector<Diagnostic>& out) {
   // The steady-state roots: the event loop itself plus WaitUntil, which every
-  // activity suspension runs through.
+  // activity suspension runs through. Their own bodies count too.
   std::vector<size_t> roots;
   for (size_t i = 0; i < idx.functions.size(); ++i) {
     const FunctionDef& f = idx.functions[i];
@@ -898,21 +866,17 @@ void CheckNoAllocTransitive(const SymbolIndex& idx, const CallGraph& g,
   for (size_t fi = 0; fi < idx.functions.size(); ++fi) {
     if (!reach[fi]) continue;
     const FunctionDef& f = idx.functions[fi];
-    // Run*/Dispatch bodies belong to the direct rule; re-flagging them here
-    // would double-report every finding.
-    if (f.cls == "Kernel" && (f.name == "Dispatch" || f.name.rfind("Run", 0) == 0))
-      continue;
     const Toks& t = f.file->tokens;
     for (size_t j = f.body_begin; j < f.body_end && j < t.size(); ++j) {
       if (t[j].pp) continue;
       std::string what = AllocAt(t, j);
       if (what.empty()) continue;
-      Emit(out, *f.file, t[j].line, "no-alloc-in-kernel-hot-path-transitive",
+      Emit(out, *f.file, t[j].line, "no-alloc-in-kernel-hot-path",
            what + " in '" + f.Qualified() +
-               "', which is reachable from the kernel hot path "
-               "(Kernel::Run*/Dispatch/WaitUntil); the event loop must stay "
-               "allocation-free per event — pre-size, or suppress with a reason "
-               "for a cold path");
+               "', which is on the kernel hot path "
+               "(Kernel::Run*/Dispatch/WaitUntil and what they reach); the event "
+               "loop must stay allocation-free per event — pre-size, or suppress "
+               "with a reason for a cold path");
     }
   }
 }
@@ -1077,9 +1041,6 @@ std::vector<Diagnostic> RunRules(const LintInput& input, const std::set<std::str
   if (enabled("resource-serve-outside-kernel")) {
     for (const LexedFile& f : input.files) CheckResourceServeOutsideKernel(f, out);
   }
-  if (enabled("no-alloc-in-kernel-hot-path")) {
-    for (const LexedFile& f : input.files) CheckNoAllocInKernelHotPath(f, out);
-  }
   if (enabled("vfs-dispatch-only")) {
     for (const LexedFile& f : input.files) CheckVfsDispatchOnly(f, out);
   }
@@ -1097,13 +1058,13 @@ std::vector<Diagnostic> RunRules(const LintInput& input, const std::set<std::str
 
   // The interprocedural rules share one symbol index + call graph build.
   const bool ownership = enabled("kernel-ownership");
-  const bool alloc_trans = enabled("no-alloc-in-kernel-hot-path-transitive");
+  const bool alloc = enabled("no-alloc-in-kernel-hot-path");
   const bool det_trans = enabled("sim-determinism-transitive");
-  if (ownership || alloc_trans || det_trans) {
+  if (ownership || alloc || det_trans) {
     const SymbolIndex idx = BuildIndex(input.files);
     const CallGraph graph = BuildCallGraph(idx);
     if (ownership) CheckKernelOwnership(idx, graph, out);
-    if (alloc_trans) CheckNoAllocTransitive(idx, graph, out);
+    if (alloc) CheckNoAllocInKernelHotPath(idx, graph, out);
     if (det_trans) CheckSimDeterminismTransitive(idx, graph, out);
   }
 

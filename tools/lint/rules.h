@@ -23,12 +23,6 @@
 //                           src/sim/ — functional code charges demands
 //                           through sim::Charge so the event kernel can
 //                           admit them in arrival order
-//   no-alloc-in-kernel-hot-path
-//                           no new/make_unique/make_shared or container
-//                           growth call (push_back, insert, resize, ...)
-//                           inside Kernel::Run*/Kernel::Dispatch bodies —
-//                           the steady-state event loop is allocation-free
-//                           per event (suppression allowed for cold paths)
 //   vfs-dispatch-only       no direct Venus file operation (venus_->Open,
 //                           venus().Stat, ...) and no baseline::
 //                           RemoteOpenClient use outside src/virtue/vfs/,
@@ -59,10 +53,13 @@
 //                           same fence with a sharper message; a method
 //                           marked ITC_SHARD_FOREIGN is a declared (waived)
 //                           cross-shard touch and may reach it
-//   no-alloc-in-kernel-hot-path-transitive
-//                           the allocation ban, extended over the call
-//                           graph: anything reachable from Kernel::Run*/
-//                           Dispatch/WaitUntil may not allocate either
+//   no-alloc-in-kernel-hot-path
+//                           no new/make_unique/make_shared or container
+//                           growth call (push_back, insert, resize, ...)
+//                           in Kernel::Run*/Dispatch/WaitUntil or anything
+//                           they reach over the call graph — the
+//                           steady-state event loop is allocation-free per
+//                           event (suppression allowed for cold paths)
 //   sim-determinism-transitive
 //                           the determinism ban, extended over the call
 //                           graph: calling a helper that (transitively)
@@ -111,8 +108,7 @@ inline const std::set<std::string>& AllRules() {
       "opcode-sync",       "sim-determinism",   "assert-side-effect",
       "assert-in-header",  "resource-serve-outside-kernel",
       "no-alloc-in-kernel-hot-path", "vfs-dispatch-only",
-      "no-raw-lease-term", "kernel-ownership",
-      "no-alloc-in-kernel-hot-path-transitive", "sim-determinism-transitive",
+      "no-raw-lease-term", "kernel-ownership", "sim-determinism-transitive",
       "stale-suppression", "rule-doc-sync",  "no-eager-contents",
   };
   return rules;
