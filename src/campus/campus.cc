@@ -141,7 +141,9 @@ Result<Fid> Campus::EnsureDirDirect(vice::Volume* vol, const std::string& path) 
     }
     auto acl = vol->EffectiveAcl(cur);
     if (!acl.ok()) return acl.status();
-    ASSIGN_OR_RETURN(cur, vol->MakeDir(cur, comp, kAnonymousUser, *acl));
+    // A copy: the new directory changes the volume the pointer points into.
+    const protection::AccessList inherited = **acl;
+    ASSIGN_OR_RETURN(cur, vol->MakeDir(cur, comp, kAnonymousUser, inherited));
   }
   return cur;
 }

@@ -4,24 +4,8 @@ namespace itc {
 
 std::vector<std::string> SplitPath(std::string_view path) {
   std::vector<std::string> out;
-  size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    size_t j = i;
-    while (j < path.size() && path[j] != '/') ++j;
-    if (j > i) out.emplace_back(path.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-std::string JoinPath(const std::vector<std::string>& components) {
-  if (components.empty()) return "/";
-  std::string out;
-  for (const auto& c : components) {
-    out += '/';
-    out += c;
-  }
+  PathCursor cursor(path);
+  for (std::string_view component; cursor.Next(&component);) out.emplace_back(component);
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 
 namespace itc::rpc {
 
@@ -65,10 +66,26 @@ SimTime LatencyHistogram::Percentile(double p) const {
   return max_;
 }
 
+size_t CallStats::LowerBound(uint32_t opcode) const {
+  const auto it = std::lower_bound(rows_.begin(), rows_.end(), opcode,
+                                   [](const Row& row, uint32_t code) { return row.first < code; });
+  return static_cast<size_t>(it - rows_.begin());
+}
+
+OpStats& CallStats::RowFor(uint32_t opcode) {
+  const size_t at = LowerBound(opcode);
+  if (at < rows_.size() && rows_[at].first == opcode) return rows_[at].second;
+  // Grow by one row, not by doubling: a row is ~0.5 KB and every Venus keeps
+  // a table of a few.
+  if (rows_.size() == rows_.capacity()) rows_.reserve(rows_.size() + 1);
+  return rows_.insert(rows_.begin() + static_cast<std::ptrdiff_t>(at), Row{opcode, OpStats{}})
+      ->second;
+}
+
 void CallStats::Record(uint32_t opcode, std::string_view name, CallClass call_class,
                        SimTime latency, uint64_t bytes_in, uint64_t bytes_out,
                        Status outcome) {
-  OpStats& op = per_op_[opcode];
+  OpStats& op = RowFor(opcode);
   op.name = name;
   op.call_class = call_class;
   op.calls += 1;
@@ -82,43 +99,43 @@ void CallStats::Record(uint32_t opcode, std::string_view name, CallClass call_cl
 }
 
 const OpStats* CallStats::Find(uint32_t opcode) const {
-  auto it = per_op_.find(opcode);
-  return it == per_op_.end() ? nullptr : &it->second;
+  const size_t at = LowerBound(opcode);
+  return at < rows_.size() && rows_[at].first == opcode ? &rows_[at].second : nullptr;
 }
 
 uint64_t CallStats::total_calls() const {
   uint64_t n = 0;
-  for (const auto& [op, s] : per_op_) n += s.calls;
+  for (const auto& [op, s] : rows_) n += s.calls;
   return n;
 }
 
 uint64_t CallStats::total_errors() const {
   uint64_t n = 0;
-  for (const auto& [op, s] : per_op_) n += s.errors;
+  for (const auto& [op, s] : rows_) n += s.errors;
   return n;
 }
 
 uint64_t CallStats::total_bytes_in() const {
   uint64_t n = 0;
-  for (const auto& [op, s] : per_op_) n += s.bytes_in;
+  for (const auto& [op, s] : rows_) n += s.bytes_in;
   return n;
 }
 
 uint64_t CallStats::total_bytes_out() const {
   uint64_t n = 0;
-  for (const auto& [op, s] : per_op_) n += s.bytes_out;
+  for (const auto& [op, s] : rows_) n += s.bytes_out;
   return n;
 }
 
 std::map<CallClass, uint64_t> CallStats::Histogram() const {
   std::map<CallClass, uint64_t> h;
-  for (const auto& [op, s] : per_op_) h[s.call_class] += s.calls;
+  for (const auto& [op, s] : rows_) h[s.call_class] += s.calls;
   return h;
 }
 
 void CallStats::Merge(const CallStats& other) {
-  for (const auto& [op, s] : other.per_op_) {
-    OpStats& mine = per_op_[op];
+  for (const auto& [op, s] : other.rows_) {
+    OpStats& mine = RowFor(op);
     mine.name = s.name;
     mine.call_class = s.call_class;
     mine.calls += s.calls;

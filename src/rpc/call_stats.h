@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <map>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
@@ -72,10 +74,16 @@ struct OpStats {
 
 class CallStats {
  public:
+  // One procedure's row: (opcode, stats).
+  using Row = std::pair<uint32_t, OpStats>;
+
   void Record(uint32_t opcode, std::string_view name, CallClass call_class,
               SimTime latency, uint64_t bytes_in, uint64_t bytes_out, Status outcome);
 
-  const std::map<uint32_t, OpStats>& per_op() const { return per_op_; }
+  // Every recorded procedure, in ascending opcode order. The rows are held
+  // in a vector: the reference, its iterators and a pointer from Find() are
+  // valid only until the next Record, Merge or Reset.
+  const std::vector<Row>& per_op() const { return rows_; }
   const OpStats* Find(uint32_t opcode) const;
 
   uint64_t total_calls() const;
@@ -87,10 +95,15 @@ class CallStats {
   std::map<CallClass, uint64_t> Histogram() const;
 
   void Merge(const CallStats& other);
-  void Reset() { per_op_.clear(); }
+  void Reset() { rows_.clear(); }
 
  private:
-  std::map<uint32_t, OpStats> per_op_;
+  // The index of the first row whose opcode is not below `opcode`.
+  size_t LowerBound(uint32_t opcode) const;
+  // The row of `opcode`, added in order if it has none.
+  OpStats& RowFor(uint32_t opcode);
+
+  std::vector<Row> rows_;  // ascending opcode
 };
 
 }  // namespace itc::rpc

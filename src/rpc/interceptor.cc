@@ -36,24 +36,24 @@ bool RetryableTransportFailure(Status s) {
 // --- Server side -------------------------------------------------------------
 
 Result<Bytes> ServerInterceptorChain::Run(ServerCallInfo& info, const Bytes& request,
-                                          const ServerInterceptor::Next& terminal) const {
+                                          ServerInterceptor::Next terminal) const {
   return RunFrom(0, info, request, terminal);
 }
 
-Result<Bytes> ServerInterceptorChain::RunFrom(
-    size_t index, ServerCallInfo& info, const Bytes& request,
-    const ServerInterceptor::Next& terminal) const {
+Result<Bytes> ServerInterceptorChain::RunFrom(size_t index, ServerCallInfo& info,
+                                              const Bytes& request,
+                                              ServerInterceptor::Next terminal) const {
   if (index == interceptors_.size()) return terminal(request);
-  return interceptors_[index]->Intercept(
-      info, request,
-      [this, index, &info, &terminal](const Bytes& req) {
-        return RunFrom(index + 1, info, req, terminal);
-      });
+  // The closure lives until Intercept returns, as long as `next` may be used.
+  const auto next = [this, index, &info, terminal](const Bytes& req) {
+    return RunFrom(index + 1, info, req, terminal);
+  };
+  return interceptors_[index]->Intercept(info, request, next);
 }
 
 Result<Bytes> ServerTracingInterceptor::Intercept(ServerCallInfo& info,
                                                   const Bytes& request,
-                                                  const Next& next) {
+                                                  Next next) {
   // Snapshot arrival before an inner interceptor injects delay: latency is
   // measured from when the request reached the server.
   const SimTime arrival = info.arrival;
@@ -77,7 +77,7 @@ bool FaultInjectionInterceptor::Matches(const ServerCallInfo& info,
 
 Result<Bytes> FaultInjectionInterceptor::Intercept(ServerCallInfo& info,
                                                    const Bytes& request,
-                                                   const Next& next) {
+                                                   Next next) {
   if (fail_all_) return Status::kUnavailable;
 
   if (fail_count_ > 0) {
@@ -118,24 +118,23 @@ Result<Bytes> FaultInjectionInterceptor::Intercept(ServerCallInfo& info,
 // --- Client side -------------------------------------------------------------
 
 Result<Bytes> ClientInterceptorChain::Run(ClientCallInfo& info, const Bytes& request,
-                                          const ClientInterceptor::Next& terminal) const {
+                                          ClientInterceptor::Next terminal) const {
   return RunFrom(0, info, request, terminal);
 }
 
-Result<Bytes> ClientInterceptorChain::RunFrom(
-    size_t index, ClientCallInfo& info, const Bytes& request,
-    const ClientInterceptor::Next& terminal) const {
+Result<Bytes> ClientInterceptorChain::RunFrom(size_t index, ClientCallInfo& info,
+                                              const Bytes& request,
+                                              ClientInterceptor::Next terminal) const {
   if (index == interceptors_.size()) return terminal(request);
-  return interceptors_[index]->Intercept(
-      info, request,
-      [this, index, &info, &terminal](const Bytes& req) {
-        return RunFrom(index + 1, info, req, terminal);
-      });
+  const auto next = [this, index, &info, terminal](const Bytes& req) {
+    return RunFrom(index + 1, info, req, terminal);
+  };
+  return interceptors_[index]->Intercept(info, request, next);
 }
 
 Result<Bytes> ClientTracingInterceptor::Intercept(ClientCallInfo& info,
                                                   const Bytes& request,
-                                                  const Next& next) {
+                                                  Next next) {
   const SimTime start = info.clock != nullptr ? info.clock->now() : 0;
   Result<Bytes> result = next(request);
   if (stats_ != nullptr) {
@@ -151,7 +150,7 @@ Result<Bytes> ClientTracingInterceptor::Intercept(ClientCallInfo& info,
 }
 
 Result<Bytes> RetryInterceptor::Intercept(ClientCallInfo& info, const Bytes& request,
-                                          const Next& next) {
+                                          Next next) {
   Result<Bytes> result = next(request);
   // Stream transport delivers reliably at the transport level; and without
   // schema metadata declaring the op idempotent, a blind resend could run a
@@ -171,7 +170,7 @@ Result<Bytes> RetryInterceptor::Intercept(ClientCallInfo& info, const Bytes& req
 }
 
 Result<Bytes> DeadlineInterceptor::Intercept(ClientCallInfo& info, const Bytes& request,
-                                             const Next& next) {
+                                             Next next) {
   if (deadline_ <= 0 || info.clock == nullptr) return next(request);
   const SimTime start = info.clock->now();
   Result<Bytes> result = next(request);

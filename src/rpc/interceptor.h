@@ -18,11 +18,11 @@
 #define SRC_RPC_INTERCEPTOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "src/common/function_ref.h"
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
@@ -67,13 +67,16 @@ struct ServerCallInfo {
   std::optional<Bulk> bulk;
 };
 
+// `Next` runs the rest of the chain. It refers to a callable owned by the
+// caller of Intercept, so it is valid only during that call: an interceptor
+// may call it any number of times but must not keep it.
 class ServerInterceptor {
  public:
-  using Next = std::function<Result<Bytes>(const Bytes& request)>;
+  using Next = FunctionRef<Result<Bytes>(const Bytes& request)>;
 
   virtual ~ServerInterceptor() = default;
   [[nodiscard]] virtual Result<Bytes> Intercept(ServerCallInfo& info, const Bytes& request,
-                                  const Next& next) = 0;
+                                                Next next) = 0;
 };
 
 class ServerInterceptorChain {
@@ -83,11 +86,11 @@ class ServerInterceptorChain {
   void Add(ServerInterceptor* interceptor) { interceptors_.push_back(interceptor); }
 
   [[nodiscard]] Result<Bytes> Run(ServerCallInfo& info, const Bytes& request,
-                    const ServerInterceptor::Next& terminal) const;
+                                  ServerInterceptor::Next terminal) const;
 
  private:
   [[nodiscard]] Result<Bytes> RunFrom(size_t index, ServerCallInfo& info, const Bytes& request,
-                        const ServerInterceptor::Next& terminal) const;
+                                      ServerInterceptor::Next terminal) const;
 
   std::vector<ServerInterceptor*> interceptors_;
 };
@@ -101,7 +104,7 @@ class ServerTracingInterceptor : public ServerInterceptor {
   explicit ServerTracingInterceptor(CallStats* stats) : stats_(stats) {}
 
   [[nodiscard]] Result<Bytes> Intercept(ServerCallInfo& info, const Bytes& request,
-                          const Next& next) override;
+                                        Next next) override;
 
  private:
   CallStats* stats_;
@@ -151,7 +154,7 @@ class FaultInjectionInterceptor : public ServerInterceptor {
   }
 
   [[nodiscard]] Result<Bytes> Intercept(ServerCallInfo& info, const Bytes& request,
-                          const Next& next) override;
+                                        Next next) override;
 
  private:
   static bool Matches(const ServerCallInfo& info, const std::optional<CallClass>& only);
@@ -181,13 +184,14 @@ struct ClientCallInfo {
   std::optional<Bulk>* bulk = nullptr;
 };
 
+// As ServerInterceptor::Next: valid only during the Intercept call.
 class ClientInterceptor {
  public:
-  using Next = std::function<Result<Bytes>(const Bytes& request)>;
+  using Next = FunctionRef<Result<Bytes>(const Bytes& request)>;
 
   virtual ~ClientInterceptor() = default;
   [[nodiscard]] virtual Result<Bytes> Intercept(ClientCallInfo& info, const Bytes& request,
-                                  const Next& next) = 0;
+                                                Next next) = 0;
 };
 
 class ClientInterceptorChain {
@@ -198,11 +202,11 @@ class ClientInterceptorChain {
   bool empty() const { return interceptors_.empty(); }
 
   [[nodiscard]] Result<Bytes> Run(ClientCallInfo& info, const Bytes& request,
-                    const ClientInterceptor::Next& terminal) const;
+                                  ClientInterceptor::Next terminal) const;
 
  private:
   [[nodiscard]] Result<Bytes> RunFrom(size_t index, ClientCallInfo& info, const Bytes& request,
-                        const ClientInterceptor::Next& terminal) const;
+                                      ClientInterceptor::Next terminal) const;
 
   std::vector<std::unique_ptr<ClientInterceptor>> interceptors_;
 };
@@ -214,7 +218,7 @@ class ClientTracingInterceptor : public ClientInterceptor {
   explicit ClientTracingInterceptor(CallStats* stats) : stats_(stats) {}
 
   [[nodiscard]] Result<Bytes> Intercept(ClientCallInfo& info, const Bytes& request,
-                          const Next& next) override;
+                                        Next next) override;
 
  private:
   CallStats* stats_;
@@ -228,7 +232,7 @@ class RetryInterceptor : public ClientInterceptor {
   explicit RetryInterceptor(RetryPolicy policy) : policy_(policy) {}
 
   [[nodiscard]] Result<Bytes> Intercept(ClientCallInfo& info, const Bytes& request,
-                          const Next& next) override;
+                                        Next next) override;
 
  private:
   RetryPolicy policy_;
@@ -242,7 +246,7 @@ class DeadlineInterceptor : public ClientInterceptor {
   explicit DeadlineInterceptor(SimTime deadline) : deadline_(deadline) {}
 
   [[nodiscard]] Result<Bytes> Intercept(ClientCallInfo& info, const Bytes& request,
-                          const Next& next) override;
+                                        Next next) override;
 
  private:
   SimTime deadline_;

@@ -25,19 +25,19 @@ const OpSpec* OpSchema::Find(uint32_t opcode) const {
 
 OpRegistry::OpRegistry(const OpSchema* schema) : schema_(schema) {
   ITC_CHECK(schema_ != nullptr);
+  if (!schema_->ops().empty()) handlers_.resize(schema_->ops().back().opcode + 1);
 }
 
 void OpRegistry::Bind(uint32_t opcode, OpHandler handler) {
   ITC_CHECK(schema_->Find(opcode) != nullptr);
-  ITC_CHECK(!handlers_.contains(opcode));
+  ITC_CHECK(!Bound(opcode));
   handlers_[opcode] = std::move(handler);
 }
 
 Result<Bytes> OpRegistry::Dispatch(CallContext& ctx, uint32_t opcode,
                                    const Bytes& request) const {
-  auto it = handlers_.find(opcode);
-  if (it == handlers_.end()) return Status::kProtocolError;
-  return it->second(ctx, request);
+  if (!Bound(opcode)) return Status::kProtocolError;
+  return handlers_[opcode](ctx, request);
 }
 
 std::string RenderOpTable(const OpSchema& schema) {

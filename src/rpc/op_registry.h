@@ -18,7 +18,6 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/result.h"
@@ -71,13 +70,16 @@ class OpRegistry {
   // Dies (ITC_CHECK) if the opcode is not in the schema or is already bound:
   // both are wiring bugs, not runtime conditions.
   void Bind(uint32_t opcode, OpHandler handler);
-  bool Bound(uint32_t opcode) const { return handlers_.contains(opcode); }
+  bool Bound(uint32_t opcode) const {
+    return opcode < handlers_.size() && handlers_[opcode] != nullptr;
+  }
 
   [[nodiscard]] Result<Bytes> Dispatch(CallContext& ctx, uint32_t opcode, const Bytes& request) const;
 
  private:
   const OpSchema* schema_;
-  std::unordered_map<uint32_t, OpHandler> handlers_;
+  // Indexed by opcode, up to the schema's largest; empty where unbound.
+  std::vector<OpHandler> handlers_;
 };
 
 // Renders the schema's opcode table as the GitHub-markdown block embedded in

@@ -17,6 +17,10 @@ namespace {
 // Fixed per-message framing overhead on the wire (headers, addressing).
 constexpr uint64_t kWireHeaderBytes = 32;
 
+// A request frame's header: the procedure number (4) and the connection's
+// sequence number (8), ahead of the request body.
+constexpr size_t kFrameHeaderBytes = 12;
+
 uint64_t WireSize(const Bytes& payload) { return payload.size() + kWireHeaderBytes; }
 
 // In sharded mode a cross-cluster Transfer migrates the calling activity to
@@ -96,23 +100,22 @@ size_t ServerEndpoint::ConnectionCountFrom(NodeId client_node) const {
   return n;
 }
 
-Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
-                                         const Bytes& sealed_request, SimTime arrival,
-                                         SimTime* completion, std::optional<Bulk>* bulk) {
+Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node, Bytes request,
+                                         SimTime arrival, SimTime* completion,
+                                         std::optional<Bulk>* bulk) {
   *completion = arrival;
   if (!online_ || fault_->fail_all()) return Status::kUnavailable;
   auto conn_it = connections_.find(conn_id);
   if (conn_it == connections_.end()) return Status::kConnectionBroken;
   ConnState& conn = conn_it->second;
 
-  Bytes request;
   if (config_.encrypt) {
-    auto opened = crypto::Open(conn.secret.session_key, sealed_request);
+    auto opened = crypto::Open(conn.secret.session_key, request);
     if (!opened.ok()) return Status::kTamperDetected;
     request = std::move(*opened);
-  } else {
-    request = sealed_request;
   }
+  // The pickup decrypt is charged for the whole frame, header included.
+  const size_t framed_size = request.size();
 
   Reader header(request);
   ASSIGN_OR_RETURN(uint32_t proc, header.U32());
@@ -121,7 +124,8 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
   // rejected when presented a second time.
   if (client_seq <= conn.last_client_seq) return Status::kTamperDetected;
   conn.last_client_seq = client_seq;
-  Bytes body(request.begin() + 12, request.end());
+  // The body is the same buffer without its header.
+  request.erase(request.begin(), request.begin() + kFrameHeaderBytes);
 
   ITC_CHECK(registry_ != nullptr || service_ != nullptr);
   ServerCallInfo info;
@@ -145,7 +149,7 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
     pickup_cpu += config_.server_structure == ServerStructure::kProcessPerClient
                       ? cost_.server_context_switch
                       : cost_.server_lwp_switch;
-    if (config_.encrypt) pickup_cpu += cost_.CryptoCpu(request.size());
+    if (config_.encrypt) pickup_cpu += cost_.CryptoCpu(framed_size);
     SimTime t = sim::Charge(cpu_, info.arrival, pickup_cpu);
 
     CallContext ctx(conn.user, client_node, info.arrival);
@@ -177,7 +181,7 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
     return reply;
   };
 
-  ASSIGN_OR_RETURN(Bytes reply, chain_->Run(info, body, terminal));
+  ASSIGN_OR_RETURN(Bytes reply, chain_->Run(info, request, terminal));
 
   if (info.bulk.has_value()) {
     // The one splice path: a sealed envelope covers every byte, and a
@@ -330,22 +334,19 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request,
   const SimTime stream_penalty =
       config_.transport == Transport::kStream ? cost_.stream_transport_overhead : 0;
 
-  // Prefix the procedure number and an increasing sequence number (the
-  // server's anti-replay check), then seal.
+  // One buffer holds the frame: the procedure number and an increasing
+  // sequence number (the server's anti-replay check), then the request. An
+  // unsealed connection hands that buffer itself to the server.
   seq_ += 1;
-  Writer w;
-  w.PutU32(proc);
-  w.PutU64(seq_);
-  Bytes framed = w.Take();
-  framed.insert(framed.end(), request.begin(), request.end());
+  Bytes message(kFrameHeaderBytes + request.size());
+  StoreU32(message.data(), proc);
+  StoreU64(message.data() + 4, seq_);
+  std::copy(request.begin(), request.end(), message.begin() + kFrameHeaderBytes);
 
   SimTime t = clock_->now() + cost_.client_cpu_per_rpc;
-  Bytes sealed;
   if (config_.encrypt) {
-    t += cost_.CryptoCpu(framed.size());
-    sealed = crypto::Seal(secret_.session_key, framed, (conn_id_ << 20) ^ (seq_ * 2));
-  } else {
-    sealed = framed;
+    t += cost_.CryptoCpu(message.size());
+    message = crypto::Seal(secret_.session_key, message, (conn_id_ << 20) ^ (seq_ * 2));
   }
 
   // A partition between the endpoints eats the request (or below, the
@@ -356,12 +357,13 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request,
     return Status::kUnavailable;
   }
   const SimTime arrival =
-      network_->Transfer(client_node_, server_->node_, WireSize(sealed), t) + stream_penalty;
+      network_->Transfer(client_node_, server_->node_, WireSize(message), t) + stream_penalty;
 
   SimTime completion = arrival;
   std::optional<Bulk> side;
-  auto sealed_reply = server_->HandleCall(conn_id_, client_node_, sealed, arrival, &completion,
-                                          bulk != nullptr ? &side : nullptr);
+  auto sealed_reply =
+      server_->HandleCall(conn_id_, client_node_, std::move(message), arrival, &completion,
+                          bulk != nullptr ? &side : nullptr);
   if (!sealed_reply.ok()) {
     clock_->AdvanceTo(completion);
     return sealed_reply.status();

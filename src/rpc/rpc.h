@@ -218,14 +218,16 @@ class ServerEndpoint {
     NodeId client_node = kInvalidNode;  // workstation that opened the channel
   };
 
-  // Processes one sealed call on connection `conn_id`, arriving at
-  // `arrival`; returns the sealed reply and sets `*completion` to the time
-  // the reply leaves the server. A reply's bulk field lands in `*bulk` when
+  // Processes one call on connection `conn_id`, arriving at `arrival`:
+  // `request` is the frame as it travelled (sealed on a sealed connection).
+  // The endpoint takes the buffer and reads the body in it, after the
+  // header. Returns the reply as it travels back and sets `*completion` to
+  // the time it leaves the server. A reply's bulk field lands in `*bulk` when
   // the caller passes a slot and the connection is unsealed; otherwise it is
   // spliced into the returned bytes.
-  [[nodiscard]] Result<Bytes> HandleCall(uint64_t conn_id, NodeId client_node, const Bytes& sealed_request,
-                           SimTime arrival, SimTime* completion,
-                           std::optional<Bulk>* bulk = nullptr);
+  [[nodiscard]] Result<Bytes> HandleCall(uint64_t conn_id, NodeId client_node, Bytes request,
+                                         SimTime arrival, SimTime* completion,
+                                         std::optional<Bulk>* bulk = nullptr);
 
   // Called from the client connection's destructor, i.e. potentially from
   // the client's shard. Known cross-shard touch when sharded: a mid-run

@@ -61,15 +61,26 @@ inline uint32_t LoadU32(const uint8_t* p) {
          static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
+// Stores `v` little-endian at `p`, which has room for it.
+inline void StoreU32(uint8_t* p, uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+inline void StoreU64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+// Writes a message into one buffer: fixed-width fields are stored in place,
+// and the buffer starts with room for a typical message (a fid, a status, a
+// short name), so most messages never grow it.
 class Writer {
  public:
+  static constexpr size_t kInitialCapacity = 128;
+
+  Writer() { buf_.reserve(kInitialCapacity); }
+
   void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void PutU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  void PutU32(uint32_t v) { StoreU32(Extend(4), v); }
+  void PutU64(uint64_t v) { StoreU64(Extend(8), v); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
   void PutString(std::string_view s) {
@@ -81,9 +92,10 @@ class Writer {
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
   void PutFid(const Fid& f) {
-    PutU32(f.volume);
-    PutU32(f.vnode);
-    PutU32(f.uniquifier);
+    uint8_t* p = Extend(kFidWireBytes);
+    StoreU32(p, f.volume);
+    StoreU32(p + 4, f.vnode);
+    StoreU32(p + 8, f.uniquifier);
   }
   void PutStatus(Status s) { PutU32(static_cast<uint32_t>(s)); }
   // Writes the length of a byte-string field whose contents travel as the
@@ -97,6 +109,13 @@ class Writer {
   size_t size() const { return buf_.size(); }
 
  private:
+  // Grows the buffer by `n` bytes and returns where they start.
+  uint8_t* Extend(size_t n) {
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   Bytes buf_;
 };
 

@@ -64,12 +64,14 @@ Result<InodeNum> FileSystem::ResolveInternal(std::string_view path, bool follow_
   if (depth > kMaxSymlinkDepth) return Status::kSymlinkLoop;
   if (path.empty() || path.front() != '/') return Status::kInvalidArgument;
 
-  const std::vector<std::string> components = SplitPath(path);
-  std::vector<InodeNum> stack{kRootInode};
-  std::vector<std::string> names;  // canonical path of stack.back()
+  // The directories descended through and their names (views into `path`):
+  // the canonical path of stack.back(), for ".." and relative link targets.
+  Breadcrumbs<InodeNum> stack;
+  stack.push_back(kRootInode);
+  Breadcrumbs<std::string_view> names;
 
-  for (size_t i = 0; i < components.size(); ++i) {
-    const std::string& comp = components[i];
+  PathCursor cursor(path);
+  for (std::string_view comp; cursor.Next(&comp);) {
     if (comp == ".") continue;
     if (comp == "..") {
       if (stack.size() > 1) {
@@ -87,21 +89,21 @@ Result<InodeNum> FileSystem::ResolveInternal(std::string_view path, bool follow_
     const InodeNum child = it->second;
     const Inode& child_inode = Node(child);
 
-    const bool is_final = (i + 1 == components.size());
+    const bool is_final = cursor.AtEnd();
     if (child_inode.type == FileType::kSymlink && (!is_final || follow_final)) {
       // Splice the link target: absolute targets restart from the root,
       // relative targets continue from the current directory.
-      std::string rest;
-      for (size_t j = i + 1; j < components.size(); ++j) {
-        rest += '/';
-        rest += components[j];
-      }
+      const std::string& target = child_inode.symlink_target;
       std::string new_path;
-      if (!child_inode.symlink_target.empty() && child_inode.symlink_target.front() == '/') {
-        new_path = child_inode.symlink_target + rest;
-      } else {
-        new_path = JoinPath(names) + "/" + child_inode.symlink_target + rest;
+      if (target.empty() || target.front() != '/') {
+        for (size_t i = 0; i < names.size(); ++i) {
+          new_path += '/';
+          new_path += names[i];
+        }
+        new_path += '/';
       }
+      new_path += target;
+      new_path += cursor.rest();
       return ResolveInternal(new_path, follow_final, depth + 1);
     }
     stack.push_back(child);
@@ -147,9 +149,9 @@ Status FileSystem::MkDir(std::string_view path, Mode mode, UserId owner) {
 
 Status FileSystem::MkDirAll(std::string_view path, Mode mode, UserId owner) {
   if (path.empty() || path.front() != '/') return Status::kInvalidArgument;
-  const std::vector<std::string> components = SplitPath(path);
   std::string prefix;
-  for (const auto& comp : components) {
+  PathCursor cursor(path);
+  for (std::string_view comp; cursor.Next(&comp);) {
     prefix += '/';
     prefix += comp;
     auto resolved = Resolve(prefix);

@@ -17,6 +17,7 @@
 #define SRC_UNIXFS_FILE_SYSTEM_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -153,7 +154,8 @@ class FileSystem {
     // interned tail) so a workstation's cached copy of a synthetic file
     // costs ~32 bytes of host memory; size()/accounting stay logical.
     content::Ref data;
-    std::map<std::string, InodeNum> entries;  // directories (sorted for determinism)
+    // Directories (sorted for determinism); found by string_view too.
+    std::map<std::string, InodeNum, std::less<>> entries;
     std::string symlink_target;               // symlinks
   };
 

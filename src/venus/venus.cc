@@ -472,27 +472,24 @@ Result<Fid> Venus::WalkClient(const std::string& path, bool for_update, bool fol
   ASSIGN_OR_RETURN(VolumeId vid, ChooseVolume(root_vid, /*for_update=*/false));
   Fid cur = vice::VolumeRootFid(vid);
 
-  std::vector<std::string> components = SplitPath(path);
-  size_t i = 0;
+  // The components still to walk, as views into `path` until a symlink
+  // splices its target in front of the unconsumed rest (into `spliced`).
+  std::string spliced;
+  PathCursor cursor(path);
   int symlink_depth = 0;
   // The directories traversed to reach `cur`, so ".." works across mount
   // points: at a mounted volume's root the parent is the directory holding
   // the mount point, which only the traversal itself knows.
-  std::vector<Fid> crumbs;
+  Breadcrumbs<Fid> crumbs;
 
-  while (i < components.size()) {
-    const std::string comp = components[i];
-    if (comp == ".") {
-      ++i;
-      continue;
-    }
+  for (std::string_view comp; cursor.Next(&comp);) {
+    if (comp == ".") continue;
     if (comp == "..") {
       if (!crumbs.empty()) {
         cur = crumbs.back();
         crumbs.pop_back();
       }
       // ".." at the very top of the shared space stays there, Unix-style.
-      ++i;
       continue;
     }
 
@@ -502,8 +499,7 @@ Result<Fid> Venus::WalkClient(const std::string& path, bool for_update, bool fol
       return found.status() == Status::kNotFound ? Status::kNotFound : Status::kInternal;
     }
     const DirItem item = *found;
-    const bool is_final = (i + 1 == components.size());
-    ++i;
+    const bool is_final = cursor.AtEnd();
 
     switch (item.kind) {
       case DirItem::Kind::kMountPoint: {
@@ -528,18 +524,21 @@ Result<Fid> Venus::WalkClient(const std::string& path, bool for_update, bool fol
           // path to the VFS switch (see TakeEscapePath).
           std::string rewritten = target;
           while (rewritten.size() > 1 && rewritten.back() == '/') rewritten.pop_back();
-          for (size_t j = i; j < components.size(); ++j) {
+          PathCursor rest(cursor.rest());
+          for (std::string_view c; rest.Next(&c);) {
             if (rewritten.back() != '/') rewritten += '/';
-            rewritten += components[j];
+            rewritten += c;
           }
           escape_path_ = std::move(rewritten);
           return Status::kSymlinkEscape;
         }
-        std::vector<std::string> spliced = SplitPath(target);
-        spliced.insert(spliced.end(), components.begin() + static_cast<ptrdiff_t>(i),
-                       components.end());
-        components = std::move(spliced);
-        i = 0;
+        // Walk the target's components, then the unconsumed rest (built
+        // apart: the rest may point into `spliced`).
+        std::string next = target;
+        next += '/';
+        next += cursor.rest();
+        spliced = std::move(next);
+        cursor = PathCursor(spliced);
         if (!target.empty() && target.front() == '/') {
           ASSIGN_OR_RETURN(VolumeId restart, ChooseVolume(root_vid, /*for_update=*/false));
           cur = vice::VolumeRootFid(restart);

@@ -1,8 +1,21 @@
 #include "src/vice/callback_manager.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "src/sim/kernel.h"
 
 namespace itc::vice {
+
+namespace {
+
+std::vector<CallbackReceiver*> InNodeOrder(const std::set<CallbackReceiver*>& holders) {
+  std::vector<CallbackReceiver*> out(holders.begin(), holders.end());
+  std::stable_sort(out.begin(), out.end(), NodeOrder);
+  return out;
+}
+
+}  // namespace
 
 void CallbackManager::Register(const Fid& fid, CallbackReceiver* who) {
   if (promises_[fid].insert(who).second) stats_.registered += 1;
@@ -34,7 +47,7 @@ uint32_t CallbackManager::Break(const Fid& fid, CallbackReceiver* except, SimTim
 
   uint32_t sent = 0;
   SimTime t = at;
-  for (CallbackReceiver* r : it->second) {
+  for (CallbackReceiver* r : InNodeOrder(it->second)) {
     if (r == except) continue;
     // One small message per holder, preceded by a sliver of server CPU.
     t = sim::Charge(*server_cpu, t, cost.server_lwp_switch);
@@ -71,7 +84,7 @@ uint32_t CallbackManager::BreakVolume(VolumeId volume, SimTime at, NodeId server
       ++it;
       continue;
     }
-    for (CallbackReceiver* r : it->second) {
+    for (CallbackReceiver* r : InNodeOrder(it->second)) {
       t = sim::Charge(*server_cpu, t, cost.server_lwp_switch);
       if (!network->Reachable(server_node, r->callback_node(), t)) {
         network->NotePartitionDrop(server_node);

@@ -35,6 +35,14 @@ class CallbackReceiver {
   virtual NodeId callback_node() const = 0;
 };
 
+// The order in which a server notifies, and charges, the holders of a
+// promise: by node (one Venus per node). Receiver addresses, the order of
+// the holder sets, would make each break's simulated time depend on where
+// the host's heap put the receivers.
+inline bool NodeOrder(const CallbackReceiver* a, const CallbackReceiver* b) {
+  return a->callback_node() < b->callback_node();
+}
+
 struct CallbackStats {
   uint64_t registered = 0;
   uint64_t broken = 0;          // individual notifications sent

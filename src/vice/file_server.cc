@@ -288,7 +288,7 @@ Rights ViceServer::EffectiveRights(const Volume& vol, const Fid& fid, UserId use
   }
   auto acl = vol.EffectiveAcl(fid);
   if (!acl.ok()) return protection::kNone;
-  return acl->Effective(cps);
+  return (*acl)->Effective(cps);
 }
 
 Status ViceServer::CheckAccess(const Volume& vol, const Fid& fid, UserId user,
@@ -706,7 +706,7 @@ Result<Bytes> ViceServer::HandleCreate(rpc::CallContext& ctx, rpc::Reader& r, Pr
       // Inherit the parent directory's access list.
       auto parent_acl = vol->EffectiveAcl(*dir);
       if (!parent_acl.ok()) return StatusReply(parent_acl.status());
-      acl = *parent_acl;
+      acl = **parent_acl;
     } else {
       auto parsed = AccessList::Deserialize(*acl_bytes);
       if (!parsed.ok()) return StatusReply(Status::kProtocolError);
@@ -1012,7 +1012,7 @@ Bytes ViceServer::HandleGetAcl(rpc::CallContext& ctx, rpc::Reader& r) {
   if (!acl.ok()) return StatusReply(acl.status());
   rpc::Writer w;
   w.PutStatus(Status::kOk);
-  w.PutBytes(acl->Serialize());
+  w.PutBytes((*acl)->Serialize());
   return w.Take();
 }
 

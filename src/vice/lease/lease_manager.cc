@@ -1,6 +1,7 @@
 #include "src/vice/lease/lease_manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/sim/kernel.h"
 
@@ -76,7 +77,12 @@ SimTime LeaseManager::Break(const Fid& fid, CallbackReceiver* except, SimTime at
   SimTime t = at;
   bool writer_held = false;
   SimTime writer_expiry = 0;
-  for (const auto& [holder, expiry] : it->second) {
+  // Holders in node order (see NodeOrder), not address order.
+  std::vector<std::pair<CallbackReceiver*, SimTime>> holders(it->second.begin(),
+                                                             it->second.end());
+  std::stable_sort(holders.begin(), holders.end(),
+                   [](const auto& a, const auto& b) { return NodeOrder(a.first, b.first); });
+  for (const auto& [holder, expiry] : holders) {
     if (holder == except) {
       writer_held = true;
       writer_expiry = expiry;

@@ -13,6 +13,8 @@ namespace {
 // The fixed-size part of an entry after its name: kind (1 byte), fid (12)
 // and mount volume (4), as SerializeDirectory writes them.
 constexpr size_t kTailBytes = 1 + rpc::kFidWireBytes + 4;
+// The smallest entry: a name's length field and a tail.
+constexpr size_t kMinEntryBytes = 4 + kTailBytes;
 
 // An entry's tail, decoded only when a visitor asks for it.
 class EntryTail {
@@ -87,6 +89,12 @@ DirIndex::DirIndex(std::shared_ptr<const Bytes> buffer) : buffer_(std::move(buff
   if (data.size() > UINT32_MAX) {
     status_ = Status::kProtocolError;
     return;
+  }
+  // One allocation: the entry count, clamped to what the bytes can hold so
+  // a hostile count never sizes it.
+  if (data.size() >= 4) {
+    const size_t fits = (data.size() - 4) / kMinEntryBytes;
+    offsets_.reserve(std::min<size_t>(rpc::LoadU32(data.data()), fits));
   }
   status_ = ForEachEntry(data, [&](std::string_view name, EntryTail) {
     offsets_.push_back(static_cast<uint32_t>(

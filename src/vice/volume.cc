@@ -325,12 +325,12 @@ Status Volume::SetAcl(const Fid& dir, const protection::AccessList& acl) {
   return Status::kOk;
 }
 
-Result<protection::AccessList> Volume::EffectiveAcl(const Fid& fid) const {
+Result<const protection::AccessList*> Volume::EffectiveAcl(const Fid& fid) const {
   ASSIGN_OR_RETURN(const Vnode* v, Lookup(fid));
-  if (v->status.type == VnodeType::kDirectory) return v->acl;
+  if (v->status.type == VnodeType::kDirectory) return &v->acl;
   ASSIGN_OR_RETURN(const Vnode* parent, Lookup(v->status.parent));
   if (parent->status.type != VnodeType::kDirectory) return Status::kInternal;
-  return parent->acl;
+  return &parent->acl;
 }
 
 std::unique_ptr<Volume> Volume::Clone(VolumeId clone_id, const std::string& clone_name) const {

@@ -117,7 +117,8 @@ class Volume {
   [[nodiscard]] Status SetAcl(const Fid& dir, const protection::AccessList& acl);
   // For a directory: its own ACL. For a file or symlink: the ACL of its
   // parent directory ("the protected entities are directories", §3.4).
-  [[nodiscard]] Result<protection::AccessList> EffectiveAcl(const Fid& fid) const;
+  // Points into the volume: valid until the volume next changes.
+  [[nodiscard]] Result<const protection::AccessList*> EffectiveAcl(const Fid& fid) const;
 
   // --- Administration -------------------------------------------------------------
   // Frozen read-only copy sharing file data copy-on-write. Fids inside the

@@ -87,11 +87,11 @@ class Mount {
   // --- Resolver hooks --------------------------------------------------------
   // Uncharged lstat/readlink used by the resolver while walking component
   // prefixes of resolves_locally() mounts; others keep the defaults.
-  [[nodiscard]] virtual Result<FileInfo> LStat(const std::string& rel) {
+  [[nodiscard]] virtual Result<FileInfo> LStat(std::string_view rel) {
     (void)rel;
     return Status::kNotSupported;
   }
-  [[nodiscard]] virtual Result<std::string> ReadTarget(const std::string& rel) {
+  [[nodiscard]] virtual Result<std::string> ReadTarget(std::string_view rel) {
     (void)rel;
     return Status::kNotSupported;
   }

@@ -10,14 +10,13 @@ namespace {
 bool IsNormalizedPrefix(const std::string& prefix) {
   if (prefix == "/") return true;
   if (prefix.empty() || prefix.front() != '/' || prefix.back() == '/') return false;
-  const std::vector<std::string> comps = SplitPath(prefix);
-  if (comps.empty()) return false;
+  PathCursor cursor(prefix);
   size_t rebuilt = 0;
-  for (const std::string& c : comps) {
+  for (std::string_view c; cursor.Next(&c);) {
     if (!IsValidName(c)) return false;
     rebuilt += 1 + c.size();
   }
-  // Rejects duplicate slashes ("/a//b"), which SplitPath would hide.
+  // Rejects duplicate slashes ("/a//b"), which the cursor skips.
   return rebuilt == prefix.size();
 }
 
@@ -35,7 +34,7 @@ Status MountTable::Remove(const std::string& prefix) {
   return mounts_.erase(prefix) != 0 ? Status::kOk : Status::kNotFound;
 }
 
-std::optional<MountTable::Hit> MountTable::Match(const std::string& path) const {
+std::optional<MountTable::Hit> MountTable::Match(std::string_view path) const {
   std::optional<Hit> best;
   for (const auto& [prefix, mount] : mounts_) {
     if (!PathHasPrefix(path, prefix)) continue;
@@ -49,14 +48,10 @@ Mount* MountTable::AtExactly(const std::string& prefix) const {
   return it == mounts_.end() ? nullptr : it->second;
 }
 
-std::vector<std::pair<std::string, Mount*>> MountTable::entries() const {
-  return {mounts_.begin(), mounts_.end()};
-}
-
-std::string MountRelative(const std::string& path, const std::string& prefix) {
-  if (prefix == "/") return path;
+std::string MountRelative(std::string_view path, std::string_view prefix) {
+  if (prefix == "/") return std::string(path);
   if (path.size() == prefix.size()) return "/";
-  return path.substr(prefix.size());
+  return std::string(path.substr(prefix.size()));
 }
 
 }  // namespace itc::virtue::vfs

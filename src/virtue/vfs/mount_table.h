@@ -10,8 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 #include "src/common/result.h"
 #include "src/virtue/vfs/mount.h"
@@ -28,16 +27,16 @@ class MountTable {
 
   struct Hit {
     Mount* mount = nullptr;
-    std::string prefix;
+    std::string_view prefix;  // the table's own key: valid until it changes
   };
   // The mount whose prefix is the longest path-prefix of `path`, on
   // component boundaries ("/vice" does not own "/viceX"). Empty when no
   // mount covers the path (i.e. nothing is mounted at "/").
-  std::optional<Hit> Match(const std::string& path) const;
+  std::optional<Hit> Match(std::string_view path) const;
 
   Mount* AtExactly(const std::string& prefix) const;
   // (prefix, mount) pairs in prefix order.
-  std::vector<std::pair<std::string, Mount*>> entries() const;
+  const std::map<std::string, Mount*>& entries() const { return mounts_; }
   size_t size() const { return mounts_.size(); }
 
  private:
@@ -47,7 +46,7 @@ class MountTable {
 // The tail of `path` below `prefix` as a mount-relative absolute path:
 // ("/vice/usr/x", "/vice") -> "/usr/x"; ("/vice", "/vice") -> "/";
 // (p, "/") -> p. `prefix` must be a path-prefix of `path`.
-std::string MountRelative(const std::string& path, const std::string& prefix);
+std::string MountRelative(std::string_view path, std::string_view prefix);
 
 }  // namespace itc::virtue::vfs
 

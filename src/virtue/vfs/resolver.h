@@ -12,6 +12,7 @@
 #define SRC_VIRTUE_VFS_RESOLVER_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/common/result.h"
 #include "src/virtue/vfs/mount.h"
@@ -31,8 +32,7 @@ struct ResolvedPath {
 // accumulates symlink expansions across calls so that chains which bounce
 // between mounts (via kSymlinkEscape re-entries) still terminate at
 // kMaxSymlinkDepth; callers start it at 0 per logical operation.
-[[nodiscard]] Result<ResolvedPath> ResolvePath(const MountTable& table,
-                                               const std::string& path,
+[[nodiscard]] Result<ResolvedPath> ResolvePath(const MountTable& table, std::string_view path,
                                                int* symlink_budget);
 
 }  // namespace itc::virtue::vfs

@@ -43,9 +43,9 @@ bool Switch::EscapesSharedSpace(const std::string& target) const {
   if (!hit) return false;
   if (hit->prefix != "/") return true;
   if (!hit->mount->resolves_locally()) return false;
-  const std::vector<std::string> comps = SplitPath(target);
-  if (comps.empty()) return true;  // "/" is the workstation root itself
-  return hit->mount->LStat("/" + comps[0]).ok();
+  std::string_view first;
+  if (!PathCursor(target).Next(&first)) return true;  // "/" is the workstation root itself
+  return hit->mount->LStat("/" + std::string(first)).ok();
 }
 
 // --- Descriptor API ----------------------------------------------------------
@@ -120,18 +120,18 @@ Result<std::vector<std::string>> Switch::ReadDir(const std::string& path) {
                    }));
   // Mount points appear in their parent directory's listing, Unix-style: a
   // mount at /vice shows up as "vice" in ReadDir("/") even when the backend
-  // owning "/" has no such entry.
-  std::string dir = path;
-  while (dir.size() > 1 && dir.back() == '/') dir.pop_back();
+  // owning "/" has no such entry. Listings arrive sorted from every backend
+  // here, so a listing is sorted only when an appended name (or the
+  // backend) left it out of order.
+  std::string_view dir = path;
+  while (dir.size() > 1 && dir.back() == '/') dir.remove_suffix(1);
   for (const auto& [prefix, mount] : table_.entries()) {
     (void)mount;
-    if (prefix == "/" || std::string(Dirname(prefix)) != dir) continue;
-    const std::string leaf(Basename(prefix));
-    if (std::find(names.begin(), names.end(), leaf) == names.end()) {
-      names.push_back(leaf);
-    }
+    if (prefix == "/" || Dirname(prefix) != dir) continue;
+    const std::string_view leaf = Basename(prefix);
+    if (std::find(names.begin(), names.end(), leaf) == names.end()) names.emplace_back(leaf);
   }
-  std::sort(names.begin(), names.end());
+  if (!std::is_sorted(names.begin(), names.end())) std::sort(names.begin(), names.end());
   return names;
 }
 

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -95,15 +96,17 @@ class Switch {
   template <typename Op>
   auto DispatchPath(const std::string& path, Op&& op)
       -> decltype(op(std::declval<Mount&>(), std::string())) {
-    std::string cur = path;
+    std::string escaped;  // the rewritten path of the last escape
+    std::string_view cur = path;
     int budget = 0;
     for (;;) {
       auto r = ResolvePath(table_, cur, &budget);
       if (!r.ok()) return r.status();
       auto result = op(*r->mount, r->rel);
       if (StatusOf(result) != Status::kSymlinkEscape) return result;
-      cur = r->mount->TakeEscape();
-      if (cur.empty()) return Status::kSymlinkLoop;
+      escaped = r->mount->TakeEscape();
+      if (escaped.empty()) return Status::kSymlinkLoop;
+      cur = escaped;
       if (++budget > kMaxSymlinkDepth) return Status::kSymlinkLoop;
     }
   }

@@ -122,12 +122,12 @@ Status UnixfsMount::Chmod(const std::string& rel, uint16_t mode) {
   return fs_->Chmod(rel, mode);
 }
 
-Result<FileInfo> UnixfsMount::LStat(const std::string& rel) {
+Result<FileInfo> UnixfsMount::LStat(std::string_view rel) {
   ASSIGN_OR_RETURN(unixfs::StatInfo st, fs_->LStat(rel));
   return FromUnixStat(st);
 }
 
-Result<std::string> UnixfsMount::ReadTarget(const std::string& rel) {
+Result<std::string> UnixfsMount::ReadTarget(std::string_view rel) {
   return fs_->ReadLink(rel);
 }
 

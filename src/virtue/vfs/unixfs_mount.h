@@ -45,8 +45,8 @@ class UnixfsMount : public Mount {
   [[nodiscard]] Result<std::string> ReadLink(const std::string& rel) override;
   [[nodiscard]] Status Chmod(const std::string& rel, uint16_t mode) override;
 
-  [[nodiscard]] Result<FileInfo> LStat(const std::string& rel) override;
-  [[nodiscard]] Result<std::string> ReadTarget(const std::string& rel) override;
+  [[nodiscard]] Result<FileInfo> LStat(std::string_view rel) override;
+  [[nodiscard]] Result<std::string> ReadTarget(std::string_view rel) override;
 
  private:
   unixfs::FileSystem* fs_;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -60,6 +61,15 @@ class StubMount : public Mount {
   std::string name_;
 };
 
+// A root mount whose listing of every directory is `names`, in the order
+// given.
+class ListingMount : public StubMount {
+ public:
+  ListingMount() : StubMount("listing") {}
+  Result<std::vector<std::string>> List(const std::string&) override { return names; }
+  std::vector<std::string> names;
+};
+
 // Random path over a tiny component alphabet so collisions between mount
 // prefixes and query paths are common.
 std::string RandomPath(Rng& rng, size_t max_depth) {
@@ -76,9 +86,9 @@ std::string RandomPath(Rng& rng, size_t max_depth) {
 
 // Brute-force oracle: the longest prefix in `entries` that path-prefixes
 // `path` (component boundaries), ties impossible since prefixes are unique.
-const std::pair<std::string, Mount*>* BruteForceMatch(
-    const std::vector<std::pair<std::string, Mount*>>& entries, const std::string& path) {
-  const std::pair<std::string, Mount*>* best = nullptr;
+const std::pair<const std::string, Mount*>* BruteForceMatch(
+    const std::map<std::string, Mount*>& entries, const std::string& path) {
+  const std::pair<const std::string, Mount*>* best = nullptr;
   for (const auto& e : entries) {
     if (!PathHasPrefix(path, e.first)) continue;
     if (best == nullptr || e.first.size() > best->first.size()) best = &e;
@@ -191,6 +201,51 @@ TEST(SwitchProperty, CrossMountRenameRejectedAndHarmless) {
   EXPECT_EQ(sw.RemoveMount("/scratch"), Status::kOk);
   // With the shadowing mount gone, /scratch names fall to the root mount.
   EXPECT_EQ(sw.ReadWholeFile("/scratch/g2").status(), Status::kNotFound);
+}
+
+// A listing gains the names of the mount points in its directory, each
+// once, and comes back sorted: the same list as appending the missing names
+// and sorting, whether the backend listed its entries sorted or not.
+TEST(SwitchProperty, ReadDirPlacesMountPointNamesAsAppendThenSortWould) {
+  {
+    Switch sw;
+    auto root = std::make_unique<ListingMount>();
+    root->names = {"a", "z"};
+    ASSERT_EQ(sw.AddMount("/", std::move(root)), Status::kOk);
+    ASSERT_EQ(sw.AddMount("/m", std::make_unique<StubMount>("m")), Status::kOk);
+    ASSERT_EQ(sw.AddMount("/m/deeper", std::make_unique<StubMount>("deeper")), Status::kOk);
+    auto names = sw.ReadDir("/");
+    ASSERT_TRUE(names.ok());
+    EXPECT_EQ(*names, (std::vector<std::string>{"a", "m", "z"}));
+  }
+
+  Rng rng(0x11575);
+  static const char* kNames[] = {"a", "ab", "b", "m", "vice", "z"};
+  for (int round = 0; round < 300; ++round) {
+    Switch sw;
+    auto root = std::make_unique<ListingMount>();
+    ListingMount* listing = root.get();
+    ASSERT_EQ(sw.AddMount("/", std::move(root)), Status::kOk);
+    for (const char* n : kNames) {
+      if (rng.Chance(0.5)) listing->names.push_back(n);
+    }
+    if (rng.Chance(0.5)) {
+      std::sort(listing->names.begin(), listing->names.end());
+    } else {
+      std::reverse(listing->names.begin(), listing->names.end());
+    }
+    std::vector<std::string> expect = listing->names;
+    for (const char* n : kNames) {
+      if (!rng.Chance(0.4)) continue;
+      const std::string prefix = std::string("/") + n;
+      ASSERT_EQ(sw.AddMount(prefix, std::make_unique<StubMount>(n)), Status::kOk);
+      if (std::find(expect.begin(), expect.end(), n) == expect.end()) expect.push_back(n);
+    }
+    std::sort(expect.begin(), expect.end());
+    auto names = sw.ReadDir("/");
+    ASSERT_TRUE(names.ok());
+    EXPECT_EQ(*names, expect) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // Unit tests for the lock manager (single-writer/multi-reader advisory
 // locks) and the callback manager (invalidate-on-modification promises).
 
+#include <array>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/vice/callback_manager.h"
+#include "src/vice/lease/lease_manager.h"
 #include "src/vice/lock_manager.h"
 
 namespace itc::vice {
@@ -183,6 +188,72 @@ TEST_F(CallbackTest, BreakVolumeSweepsWholeVolume) {
   EXPECT_EQ(r2_.broken.size(), 1u);
   EXPECT_TRUE(r3_.broken.empty());
   EXPECT_TRUE(cbm_.HasPromise(other_volume, &r3_));
+}
+
+// Records, at each notification, the receiver's node and the server CPU
+// time charged so far (intra-cluster breaks are delivered in the loop that
+// charges them).
+struct NotificationLog {
+  const sim::Resource* cpu = nullptr;
+  std::vector<std::pair<NodeId, SimTime>> entries;
+};
+
+class LoggingReceiver : public CallbackReceiver {
+ public:
+  void OnCallbackBroken(const Fid&) override {
+    log->entries.emplace_back(node, log->cpu->busy_time());
+  }
+  NodeId callback_node() const override { return node; }
+  NodeId node = kInvalidNode;
+  NotificationLog* log = nullptr;
+};
+
+// Holders sit at ascending addresses in descending node order, so address
+// order and node order disagree; notifications, and their CPU charges, must
+// follow node order.
+class BreakOrderTest : public CallbackTest {
+ protected:
+  BreakOrderTest() {
+    log_.cpu = &cpu_;
+    for (size_t i = 0; i < receivers_.size(); ++i) {
+      const size_t reversed = receivers_.size() - 1 - i;
+      receivers_[i].node = topo_.WorkstationNode(0, static_cast<uint32_t>(reversed));
+      receivers_[i].log = &log_;
+    }
+  }
+
+  void ExpectNodeOrder() {
+    ASSERT_EQ(log_.entries.size(), receivers_.size());
+    for (size_t i = 0; i < log_.entries.size(); ++i) {
+      EXPECT_EQ(log_.entries[i].first, topo_.WorkstationNode(0, static_cast<uint32_t>(i)));
+      EXPECT_EQ(log_.entries[i].second,
+                static_cast<SimTime>(i + 1) * cost_.server_lwp_switch);
+    }
+  }
+
+  NotificationLog log_;
+  std::array<LoggingReceiver, 4> receivers_;
+};
+
+TEST_F(BreakOrderTest, CallbackBreaksFollowNodeOrderNotAddressOrder) {
+  for (LoggingReceiver& r : receivers_) cbm_.Register(f_, &r);
+  EXPECT_EQ(Break(f_, nullptr), receivers_.size());
+  ExpectNodeOrder();
+}
+
+TEST_F(BreakOrderTest, VolumeBreaksFollowNodeOrderNotAddressOrder) {
+  for (LoggingReceiver& r : receivers_) cbm_.Register(f_, &r);
+  EXPECT_EQ(cbm_.BreakVolume(f_.volume, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_),
+            receivers_.size());
+  ExpectNodeOrder();
+}
+
+TEST_F(BreakOrderTest, LeaseBreaksFollowNodeOrderNotAddressOrder) {
+  LeaseManager leases(Seconds(30));
+  for (LoggingReceiver& r : receivers_) leases.Grant(f_, &r, 0);
+  leases.Break(f_, nullptr, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_);
+  EXPECT_EQ(leases.stats().broken, receivers_.size());
+  ExpectNodeOrder();
 }
 
 TEST_F(CallbackTest, RegisterIsIdempotentPerHolder) {

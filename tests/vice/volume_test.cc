@@ -245,7 +245,7 @@ TEST_F(VolumeTest, EffectiveAclOfFileIsParentDirs) {
   auto fid = *vol_.CreateFile(dir, "f", kOwner, 0644);
   auto acl = vol_.EffectiveAcl(fid);
   ASSERT_TRUE(acl.ok());
-  EXPECT_EQ(*acl, dir_acl);
+  EXPECT_EQ(**acl, dir_acl);
 }
 
 TEST_F(VolumeTest, SalvageCleanVolumeReportsClean) {
