@@ -52,7 +52,7 @@ ProtectionRpcServer::ProtectionRpcServer(NodeId node, net::Network* network,
           node, network, cost, rpc_config,
           [service](UserId user) { return service->db().UserKey(user); }, nonce_seed) {
   BindOps();
-  endpoint_.set_registry(&registry_);
+  endpoint_.set_service(&registry_);
 }
 
 void ProtectionRpcServer::BindOps() {

@@ -1,13 +1,14 @@
 // Per-operation call statistics for the RPC package (Section 3.6).
 //
 // The paper calls for "monitoring tools ... required to ease day-to-day
-// operations of the system"; CallStats is the RPC layer's contribution: every
-// call that flows through an op registry (src/rpc/op_registry.h) is recorded
-// here by the tracing interceptor — per-op count, bytes in/out, latency
-// histogram, and error-code breakdown. Server endpoints own one CallStats for
-// the calls they serve; client stubs (Venus, the protection client) may own
-// another for the round trips they observe. Campus aggregates the server-side
-// tables; bench/ dumps them as BENCH_rpc.json.
+// operations of the system"; CallStats is the RPC layer's contribution:
+// per-op count, bytes in/out, latency histogram, and error-code breakdown,
+// labelled from the service's op schema (src/rpc/op_registry.h). Server
+// endpoints own one CallStats and record each call they serve once, timed
+// from its arrival; client stubs (Venus, the protection client) may own
+// another and record each call once, timed over all its attempts and
+// backoffs. Campus aggregates the server-side tables; bench/ dumps them as
+// BENCH_rpc.json.
 
 #ifndef SRC_RPC_CALL_STATS_H_
 #define SRC_RPC_CALL_STATS_H_

@@ -34,8 +34,7 @@ void OpRegistry::Bind(uint32_t opcode, OpHandler handler) {
   handlers_[opcode] = std::move(handler);
 }
 
-Result<Bytes> OpRegistry::Dispatch(CallContext& ctx, uint32_t opcode,
-                                   const Bytes& request) const {
+Result<Bytes> OpRegistry::Dispatch(CallContext& ctx, uint32_t opcode, const Bytes& request) {
   if (!Bound(opcode)) return Status::kProtocolError;
   return handlers_[opcode](ctx, request);
 }

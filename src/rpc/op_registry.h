@@ -2,13 +2,13 @@
 //
 // Every service (the Vice file server, the protection server) describes its
 // procedures once in an OpSchema — `{opcode, name, CallClass, idempotent,
-// flags, wire docs}` — and binds handlers into an OpRegistry. The server
-// endpoint dispatches through the registry instead of a hand-rolled opcode
-// switch, which gives every layer the same metadata: the tracing interceptor
-// labels CallStats entries from it, the client-side retry interceptor
-// consults `idempotent` (§3.5.3 at-most-once semantics for mutators), and
-// docs/PROTOCOL.md's opcode tables are rendered from it (RenderOpTable), so
-// the document cannot drift from the code.
+// flags, wire docs}` — and binds handlers into an OpRegistry, the Service
+// its server endpoint dispatches to, instead of a hand-rolled opcode switch.
+// That gives every layer the same metadata: both ends label their CallStats
+// rows from it, the endpoint's FaultInjector picks calls by class, the
+// client stub resends only ops marked `idempotent` (§3.5.3 at-most-once
+// semantics for mutators), and docs/PROTOCOL.md's opcode tables are rendered
+// from it (RenderOpTable), so the document cannot drift from the code.
 
 #ifndef SRC_RPC_OP_REGISTRY_H_
 #define SRC_RPC_OP_REGISTRY_H_
@@ -23,10 +23,9 @@
 #include "src/common/result.h"
 #include "src/common/types.h"
 #include "src/rpc/call_stats.h"
+#include "src/rpc/rpc.h"
 
 namespace itc::rpc {
-
-class CallContext;
 
 // Static description of one procedure. `flags` carries service-defined bits
 // (e.g. vice::kOpChargesPathname); `request_doc`/`reply_doc` are the wire
@@ -61,11 +60,11 @@ using OpHandler = std::function<Result<Bytes>(CallContext& ctx, const Bytes& req
 // Handler bindings for a schema. Dispatch of an opcode that is unknown or
 // unbound yields kProtocolError — the same clean error a malformed request
 // body produces, never a crash.
-class OpRegistry {
+class OpRegistry : public Service {
  public:
   explicit OpRegistry(const OpSchema* schema);
 
-  const OpSchema& schema() const { return *schema_; }
+  const OpSchema* schema() const override { return schema_; }
 
   // Dies (ITC_CHECK) if the opcode is not in the schema or is already bound:
   // both are wiring bugs, not runtime conditions.
@@ -74,7 +73,8 @@ class OpRegistry {
     return opcode < handlers_.size() && handlers_[opcode] != nullptr;
   }
 
-  [[nodiscard]] Result<Bytes> Dispatch(CallContext& ctx, uint32_t opcode, const Bytes& request) const;
+  [[nodiscard]] Result<Bytes> Dispatch(CallContext& ctx, uint32_t opcode,
+                                       const Bytes& request) override;
 
  private:
   const OpSchema* schema_;

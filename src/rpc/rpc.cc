@@ -2,7 +2,6 @@
 
 #include "src/common/logging.h"
 #include "src/crypto/cbc.h"
-#include "src/rpc/interceptor.h"
 #include "src/rpc/op_registry.h"
 #include "src/rpc/wire.h"
 #include "src/sim/kernel.h"
@@ -21,7 +20,27 @@ constexpr uint64_t kWireHeaderBytes = 32;
 // sequence number (8), ahead of the request body.
 constexpr size_t kFrameHeaderBytes = 12;
 
+// The client stub waits this long before its first resend, and twice as
+// long before each next one.
+constexpr SimTime kRetryBackoff = Millis(20);
+
 uint64_t WireSize(const Bytes& payload) { return payload.size() + kWireHeaderBytes; }
+
+// Records one finished call into `stats`, labelled from the op schema (`op`
+// null: outside it). The outcome is the transport status on failure, else
+// the application status peeked from the reply prologue: every schema op's
+// reply begins with a Status; replies outside a schema are opaque.
+void RecordCall(CallStats& stats, uint32_t proc, const OpSpec* op, SimTime latency,
+                uint64_t bytes_in, const Result<Bytes>& result, uint64_t bulk_bytes) {
+  Status outcome = result.ok() ? Status::kOk : result.status();
+  if (result.ok() && op != nullptr) {
+    Reader r(result.value());
+    if (r.ReadStatus(&outcome) != Status::kOk) outcome = Status::kProtocolError;
+  }
+  stats.Record(proc, op != nullptr ? op->name : "unknown",
+               op != nullptr ? op->call_class : CallClass::kOther, latency, bytes_in,
+               result.ok() ? result.value().size() + bulk_bytes : 0, outcome);
+}
 
 // In sharded mode a cross-cluster Transfer migrates the calling activity to
 // the destination shard, and the reply transfer normally carries it home.
@@ -66,21 +85,7 @@ ServerEndpoint::ServerEndpoint(NodeId node, net::Network* network, const sim::Co
       key_lookup_(std::move(key_lookup)),
       nonce_seed_(nonce_seed),
       cpu_("server.cpu.node" + std::to_string(node)),
-      disk_("server.disk.node" + std::to_string(node)),
-      tracing_(std::make_unique<ServerTracingInterceptor>(&call_stats_)),
-      fault_(std::make_unique<FaultInjectionInterceptor>(nonce_seed ^ 0xfa017ull)),
-      chain_(std::make_unique<ServerInterceptorChain>()) {
-  fault_->set_config(config_.fault);
-  chain_->Add(tracing_.get());
-  chain_->Add(fault_.get());
-}
-
-ServerEndpoint::~ServerEndpoint() = default;
-
-void ServerEndpoint::set_config(RpcConfig config) {
-  config_ = config;
-  fault_->set_config(config_.fault);
-}
+      disk_("server.disk.node" + std::to_string(node)) {}
 
 void ServerEndpoint::CloseConnectionsFrom(NodeId client_node) {
   for (auto it = connections_.begin(); it != connections_.end();) {
@@ -104,7 +109,7 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node, B
                                          SimTime arrival, SimTime* completion,
                                          std::optional<Bulk>* bulk) {
   *completion = arrival;
-  if (!online_ || fault_->fail_all()) return Status::kUnavailable;
+  if (!online_ || fault_.fail_all()) return Status::kUnavailable;
   auto conn_it = connections_.find(conn_id);
   if (conn_it == connections_.end()) return Status::kConnectionBroken;
   ConnState& conn = conn_it->second;
@@ -127,41 +132,38 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node, B
   // The body is the same buffer without its header.
   request.erase(request.begin(), request.begin() + kFrameHeaderBytes);
 
-  ITC_CHECK(registry_ != nullptr || service_ != nullptr);
-  ServerCallInfo info;
-  info.op = registry_ != nullptr ? registry_->schema().Find(proc) : nullptr;
-  info.opcode = proc;
-  info.user = conn.user;
-  info.client_node = client_node;
-  info.arrival = arrival;
-  info.completion = completion;
+  ITC_CHECK(service_ != nullptr);
+  const OpSchema* schema = service_->schema();
+  const OpSpec* op = schema != nullptr ? schema->Find(proc) : nullptr;
+  const FaultInjector::Decision fault =
+      fault_.Decide(op != nullptr ? std::optional(op->call_class) : std::nullopt);
+  if (fault.fail != Status::kOk) {
+    // Answered unexecuted, the moment it arrived.
+    RecordCall(call_stats_, proc, op, 0, request.size(), fault.fail, 0);
+    return fault.fail;
+  }
 
-  // Terminal stage of the chain, executed as three suspendable stages so the
-  // server's resources admit this call in arrival order relative to every
-  // other client: (1) at info.arrival, the CPU cost of picking up the request
-  // — structure switch + per-call base + request decrypt; (2) the handler
-  // runs, then the CPU it reported plus the reply encrypt; (3) the disk
-  // demand the handler accumulated, serialized after the CPU. Starts from
-  // info.arrival so delay-injecting interceptors compose naturally.
-  auto terminal = [&](const Bytes& b) -> Result<Bytes> {
-    sim::AlignTo(info.arrival);
-    SimTime pickup_cpu = cost_.server_cpu_per_call;
-    pickup_cpu += config_.server_structure == ServerStructure::kProcessPerClient
-                      ? cost_.server_context_switch
-                      : cost_.server_lwp_switch;
-    if (config_.encrypt) pickup_cpu += cost_.CryptoCpu(framed_size);
-    SimTime t = sim::Charge(cpu_, info.arrival, pickup_cpu);
+  // The call runs as three suspendable stages, so the server's resources
+  // admit it in arrival order relative to every other client: (1) at
+  // arrival, the CPU cost of picking up the request — structure switch +
+  // per-call base + request decrypt; (2) the handler runs, then the CPU it
+  // reported plus the reply encrypt; (3) the disk demand the handler
+  // accumulated, serialized after the CPU.
+  sim::AlignTo(arrival);
+  SimTime pickup_cpu = cost_.server_cpu_per_call;
+  pickup_cpu += config_.server_structure == ServerStructure::kProcessPerClient
+                    ? cost_.server_context_switch
+                    : cost_.server_lwp_switch;
+  if (config_.encrypt) pickup_cpu += cost_.CryptoCpu(framed_size);
+  SimTime t = sim::Charge(cpu_, arrival, pickup_cpu);
 
-    CallContext ctx(conn.user, client_node, info.arrival);
-    Result<Bytes> dispatched = registry_ != nullptr
-                                   ? registry_->Dispatch(ctx, proc, b)
-                                   : service_->Dispatch(ctx, proc, b);
-    if (!dispatched.ok()) return dispatched;
-    Bytes reply = std::move(dispatched).value();
-    info.bulk = ctx.TakeBulk();
-
+  CallContext ctx(conn.user, client_node, arrival);
+  Result<Bytes> result = service_->Dispatch(ctx, proc, request);
+  std::optional<Bulk> reply_bulk;
+  if (result.ok()) {
+    reply_bulk = ctx.TakeBulk();
     SimTime reply_cpu = ctx.cpu_demand();
-    if (config_.encrypt) reply_cpu += cost_.CryptoCpu(reply.size() + BulkSize(info.bulk));
+    if (config_.encrypt) reply_cpu += cost_.CryptoCpu(result->size() + BulkSize(reply_bulk));
     t = sim::Charge(cpu_, t, reply_cpu);
     if (ctx.disk_ops() > 0 || ctx.disk_time() > 0) {
       const SimTime disk_demand =
@@ -178,18 +180,21 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node, B
       t = ctx.completion_floor();
     }
     *completion = t;
-    return reply;
-  };
+  }
+  // The request reached the server and executed; only the reply is lost.
+  if (fault.drop_reply) result = Status::kUnavailable;
+  RecordCall(call_stats_, proc, op, *completion - arrival, request.size(), result,
+             BulkSize(reply_bulk));
+  if (!result.ok()) return result.status();
 
-  ASSIGN_OR_RETURN(Bytes reply, chain_->Run(info, request, terminal));
-
-  if (info.bulk.has_value()) {
+  Bytes reply = std::move(result).value();
+  if (reply_bulk.has_value()) {
     // The one splice path: a sealed envelope covers every byte, and a
     // caller without a slot reads the inline layout.
     if (config_.encrypt || bulk == nullptr) {
-      reply = Splice(reply, *info.bulk);
+      reply = Splice(reply, *reply_bulk);
     } else {
-      *bulk = std::move(info.bulk);
+      *bulk = std::move(reply_bulk);
     }
   }
   if (config_.encrypt) {
@@ -213,20 +218,7 @@ ClientConnection::ClientConnection(NodeId client_node, UserId user, ServerEndpoi
       conn_id_(conn_id),
       secret_(secret),
       config_(config),
-      options_(options),
-      chain_(std::make_unique<ClientInterceptorChain>()) {
-  // Outermost first: tracing sees the whole call including retries; the
-  // deadline is per attempt, inside the retry loop.
-  if (options_.stats != nullptr) {
-    chain_->Add(std::make_unique<ClientTracingInterceptor>(options_.stats));
-  }
-  if (config_.retry.max_retries > 0) {
-    chain_->Add(std::make_unique<RetryInterceptor>(config_.retry));
-  }
-  if (config_.call_deadline > 0) {
-    chain_->Add(std::make_unique<DeadlineInterceptor>(config_.call_deadline));
-  }
-}
+      options_(options) {}
 
 ClientConnection::~ClientConnection() { server_->CloseConnection(conn_id_); }
 
@@ -234,7 +226,7 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
     NodeId client_node, UserId user, const crypto::Key& user_key, ServerEndpoint* server,
     net::Network* network, const sim::CostModel& cost, sim::Clock* clock,
     uint64_t nonce_seed, ClientOptions options) {
-  if (!server->online_ || server->fault_->fail_all()) return Status::kUnavailable;
+  if (!server->online_ || server->fault_.fail_all()) return Status::kUnavailable;
   const RpcConfig config = server->config_;
   const SimTime stream_penalty =
       config.transport == Transport::kStream ? cost.stream_transport_overhead : 0;
@@ -313,16 +305,41 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
 
 Result<Bytes> ClientConnection::Call(uint32_t proc, const Bytes& request,
                                      std::optional<Bulk>* bulk) {
-  ClientCallInfo info;
-  info.op = options_.schema != nullptr ? options_.schema->Find(proc) : nullptr;
-  info.opcode = proc;
-  info.server_node = server_->node();
-  info.clock = clock_;
-  info.transport = config_.transport;
-  info.bulk = bulk;
-  return chain_->Run(info, request, [this, proc, bulk](const Bytes& req) {
-    return SendOnce(proc, req, bulk);
-  });
+  const OpSpec* op = options_.schema != nullptr ? options_.schema->Find(proc) : nullptr;
+  // The stream transport already delivers reliably, and without schema
+  // metadata declaring the op idempotent a blind resend could run a mutator
+  // twice: at-most-once wins (§3.5.3).
+  const uint32_t max_retries =
+      config_.transport == Transport::kDatagram && op != nullptr && op->idempotent
+          ? config_.retry.max_retries
+          : 0;
+  const auto attempt = [&]() -> Result<Bytes> {
+    const SimTime sent = clock_->now();
+    Result<Bytes> reply = SendOnce(proc, request, bulk);
+    if (config_.call_deadline > 0 && clock_->now() - sent > config_.call_deadline) {
+      return Status::kTimedOut;
+    }
+    return reply;
+  };
+
+  const SimTime start = clock_->now();
+  Result<Bytes> result = attempt();
+  SimTime backoff = kRetryBackoff;
+  for (uint32_t retry = 0; retry < max_retries; ++retry) {
+    if (result.ok() || (result.status() != Status::kUnavailable &&
+                        result.status() != Status::kTimedOut)) {
+      break;
+    }
+    clock_->Advance(backoff);
+    backoff *= 2;
+    result = attempt();
+  }
+  // The workstation's view: latency over every attempt and backoff.
+  if (options_.stats != nullptr) {
+    RecordCall(*options_.stats, proc, op, clock_->now() - start, request.size(), result,
+               bulk != nullptr ? BulkSize(*bulk) : 0);
+  }
+  return result;
 }
 
 Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request,

@@ -19,6 +19,13 @@
 //     take the bulk, materializes them into the reply; every size the
 //     network and the stats see is that of the inline layout either way.
 //
+// A call runs as straight-line code on each side. The server endpoint
+// refuses calls while offline, opens and checks the frame, asks its
+// FaultInjector about the call, runs the service in three charged stages and
+// records one CallStats row. The client stub gives each attempt its deadline,
+// resends idempotent datagram calls after a transport failure (§3.5.3:
+// mutators run at most once) and records one row over all attempts.
+//
 // Functionally everything is synchronous and in-process; timing flows
 // through src/net (LAN segments) and the server's CPU/disk resources, so
 // utilization and latency come out of the same code path that moves bytes.
@@ -40,6 +47,7 @@
 #include "src/crypto/key.h"
 #include "src/net/network.h"
 #include "src/rpc/call_stats.h"
+#include "src/rpc/fault_injector.h"
 #include "src/rpc/wire.h"
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
@@ -47,36 +55,17 @@
 
 namespace itc::rpc {
 
-class OpRegistry;
 class OpSchema;
-class ServerInterceptorChain;
-class ServerTracingInterceptor;
-class FaultInjectionInterceptor;
-class ClientInterceptorChain;
 
 enum class Transport { kStream, kDatagram };
 enum class ServerStructure { kProcessPerClient, kLwp };
 
-// Client-stub retry policy (§3.5.3 RPC-level reliability). Applied by the
-// RetryInterceptor to datagram-transport calls on ops the schema marks
-// idempotent; mutators are never blindly resent (at-most-once).
+// Client-stub retry policy (§3.5.3 RPC-level reliability): datagram calls
+// on ops the schema marks idempotent are resent after kUnavailable or
+// kTimedOut, waiting 20 ms before the first resend and twice as long before
+// each next one; mutators are never blindly resent (at-most-once).
 struct RetryPolicy {
-  uint32_t max_retries = 0;               // 0 disables the interceptor
-  SimTime initial_backoff = Millis(20);   // doubles after each failed attempt
-};
-
-// Seeded fault injection applied at the server endpoint (probabilities per
-// matching call; `only_class` restricts faults to one call class). Tests use
-// this — plus FaultInjectionInterceptor's deterministic set_fail_all /
-// DropNextReplies controls — instead of mutating server internals.
-struct FaultConfig {
-  double drop_probability = 0;        // request lost before execution
-  double reply_drop_probability = 0;  // executed, reply lost
-  double error_probability = 0;       // answered with `error`, not executed
-  Status error = Status::kUnavailable;
-  double delay_probability = 0;
-  SimTime delay = 0;
-  std::optional<CallClass> only_class;
+  uint32_t max_retries = 0;  // resends after the first attempt
 };
 
 struct RpcConfig {
@@ -85,11 +74,9 @@ struct RpcConfig {
   // When false, messages travel unsealed (no crypto CPU, no integrity);
   // exists for the security-cost ablation only.
   bool encrypt = true;
-  // Client-side interceptors: retries and a per-attempt deadline (0 = none).
+  // Client stub: resends and a per-attempt deadline (0 = none).
   RetryPolicy retry;
   SimTime call_deadline = 0;
-  // Server-side fault injection (inert by default).
-  FaultConfig fault;
 };
 
 // Per-call server-side context handed to the service implementation. The
@@ -144,8 +131,9 @@ class CallContext {
   std::optional<Bulk> bulk_;
 };
 
-// A service implementation (the Vice file server, the protection server,
-// the remote-open baseline server) registered at a ServerEndpoint.
+// A service implementation registered at a ServerEndpoint: an OpRegistry
+// (the Vice file server, the protection server) or a hand-written dispatcher
+// (the remote-open baseline server, the PC surrogate).
 class Service {
  public:
   virtual ~Service() = default;
@@ -154,6 +142,11 @@ class Service {
   // Application-level failures are encoded inside the reply; a non-OK
   // Result here means the call itself could not be performed.
   [[nodiscard]] virtual Result<Bytes> Dispatch(CallContext& ctx, uint32_t proc, const Bytes& request) = 0;
+
+  // The procedure table, if the service has one: it labels the endpoint's
+  // CallStats rows and lets faults pick calls by class. Without one every
+  // call is recorded as "unknown", class kOther.
+  virtual const OpSchema* schema() const { return nullptr; }
 };
 
 // Session counters; per-call counts and bytes live in CallStats.
@@ -170,14 +163,9 @@ class ServerEndpoint {
 
   ServerEndpoint(NodeId node, net::Network* network, const sim::CostModel& cost,
                  RpcConfig config, KeyLookup key_lookup, uint64_t nonce_seed);
-  ~ServerEndpoint();
 
-  // Legacy dispatch path: a monolithic Service. New services register a
-  // typed OpRegistry instead (set_registry); the registry wins when both are
-  // set.
+  // The one service every call dispatches to.
   void set_service(Service* service) { service_ = service; }
-  void set_registry(const OpRegistry* registry) { registry_ = registry; }
-  void set_config(RpcConfig config);
 
   // Simulated outage: while offline the endpoint accepts no handshakes and
   // answers no calls (kUnavailable). Toggling this alone keeps connection
@@ -199,11 +187,12 @@ class ServerEndpoint {
   sim::Resource& cpu() { return cpu_; }
   sim::Resource& disk() { return disk_; }
   ITC_KERNEL_QUIESCENT const RpcStats& stats() const { return stats_; }
-  // Per-op tracing recorded by the server interceptor chain.
+  // One row per call that passed the refusal and frame checks.
   CallStats& call_stats() { return call_stats_; }
   const CallStats& call_stats() const { return call_stats_; }
-  // The endpoint's fault injector (tests: set_fail_all, DropNextReplies).
-  FaultInjectionInterceptor& fault() { return *fault_; }
+  // The endpoint's fault controls (tests: set_fail_all, FailCalls,
+  // DropNextReplies, ArmCrash).
+  FaultInjector& fault() { return fault_; }
   void ResetStats() {
     stats_ = RpcStats{};
     call_stats_.Reset();
@@ -249,22 +238,17 @@ class ServerEndpoint {
   bool online_ = true;
   ITC_OWNED_BY_SHARD uint64_t next_connection_id_ = 1;
   Service* service_ = nullptr;
-  const OpRegistry* registry_ = nullptr;
   sim::Resource cpu_;
   sim::Resource disk_;
   ITC_OWNED_BY_SHARD std::unordered_map<uint64_t, ConnState> connections_;
   ITC_OWNED_BY_SHARD RpcStats stats_;
   ITC_OWNED_BY_SHARD CallStats call_stats_;
-  // Server interceptor chain: tracing (outermost) then fault injection,
-  // wrapped around dispatch + resource charging.
-  std::unique_ptr<ServerTracingInterceptor> tracing_;
-  std::unique_ptr<FaultInjectionInterceptor> fault_;
-  std::unique_ptr<ServerInterceptorChain> chain_;
+  FaultInjector fault_;
 };
 
 // Optional client-stub wiring: the op schema of the service being called
-// (enables the retry interceptor's idempotency check and labels traces) and
-// a CallStats table to record the client-observed round trips into.
+// (resends need its idempotency flag; it labels rows) and a CallStats table
+// to record the client-observed round trips into.
 struct ClientOptions {
   const OpSchema* schema = nullptr;
   CallStats* stats = nullptr;
@@ -287,12 +271,13 @@ class ClientConnection {
   ClientConnection(const ClientConnection&) = delete;
   ClientConnection& operator=(const ClientConnection&) = delete;
 
-  // Performs one RPC through the client interceptor chain (tracing, retry,
-  // deadline): seals `request`, ships it to the server, runs the service,
-  // ships the reply back, advancing the client clock to the moment the reply
-  // has been decrypted. With a `bulk` slot the reply's bulk field may arrive
-  // there instead of inline; read it with Reader::RefField when the call
-  // succeeds. Every attempt starts by clearing the slot.
+  // Performs one RPC: seals `request`, ships it to the server, runs the
+  // service, ships the reply back, advancing the client clock to the moment
+  // the reply has been decrypted. An attempt that takes longer than the
+  // deadline fails kTimedOut; idempotent datagram calls are resent per the
+  // retry policy. With a `bulk` slot the reply's bulk field may arrive there
+  // instead of inline; read it with Reader::RefField when the call succeeds.
+  // Every attempt starts by clearing the slot.
   [[nodiscard]] Result<Bytes> Call(uint32_t proc, const Bytes& request,
                                    std::optional<Bulk>* bulk = nullptr);
 
@@ -320,7 +305,6 @@ class ClientConnection {
   crypto::SessionSecret secret_;
   RpcConfig config_;
   ClientOptions options_;
-  std::unique_ptr<ClientInterceptorChain> chain_;
   uint64_t seq_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "src/venus/venus.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/content.h"
 #include "src/common/logging.h"
@@ -171,7 +172,12 @@ Result<Bytes> Venus::CallServer(ServerId server, Proc proc, const Bytes& request
 
 Result<Bytes> Venus::CallForFid(const Fid& fid, Proc proc, const Bytes& request,
                                 std::optional<rpc::Bulk>* bulk) {
-  ASSIGN_OR_RETURN(std::vector<ServerId> candidates, ServerCandidates(fid.volume));
+  ASSIGN_OR_RETURN(VolumeInfo info, VolumeInfoFor(fid.volume, /*refresh=*/false));
+  // Without replica sites the custodian is the one server to try, and no
+  // list is built.
+  const std::vector<ServerId> replicas = ReplicaOrder(info);
+  const std::span<const ServerId> candidates =
+      replicas.empty() ? std::span<const ServerId>(&info.custodian, 1) : replicas;
 
   Status transport_failure = Status::kUnavailable;
   for (ServerId server : candidates) {
@@ -239,31 +245,29 @@ Result<VolumeInfo> Venus::VolumeInfoFor(VolumeId volume, bool refresh) {
   return info;
 }
 
-Result<std::vector<ServerId>> Venus::ServerCandidates(VolumeId volume) {
-  ASSIGN_OR_RETURN(VolumeInfo info, VolumeInfoFor(volume, /*refresh=*/false));
-  if (info.read_only && !info.replica_sites.empty()) {
-    // "Localize if possible": a replica in our own cluster first, then the
-    // remaining sites as availability fallbacks.
-    const net::Topology& topo = network_->topology();
-    const ClusterId mine = topo.ClusterOf(node_);
-    std::vector<ServerId> out;
-    for (ServerId site : info.replica_sites) {
-      auto it = servers_->find(site);
-      if (it != servers_->end() && topo.ClusterOf(it->second->node()) == mine) {
-        out.push_back(site);
-      }
+std::vector<ServerId> Venus::ReplicaOrder(const VolumeInfo& info) const {
+  if (!info.read_only) return {};
+  // "Localize if possible": a replica in our own cluster first, then the
+  // remaining sites as availability fallbacks.
+  const net::Topology& topo = network_->topology();
+  const ClusterId mine = topo.ClusterOf(node_);
+  std::vector<ServerId> out;
+  for (ServerId site : info.replica_sites) {
+    auto it = servers_->find(site);
+    if (it != servers_->end() && topo.ClusterOf(it->second->node()) == mine) {
+      out.push_back(site);
     }
-    for (ServerId site : info.replica_sites) {
-      if (std::find(out.begin(), out.end(), site) == out.end()) out.push_back(site);
-    }
-    return out;
   }
-  return std::vector<ServerId>{info.custodian};
+  for (ServerId site : info.replica_sites) {
+    if (std::find(out.begin(), out.end(), site) == out.end()) out.push_back(site);
+  }
+  return out;
 }
 
 Result<ServerId> Venus::ServerFor(VolumeId volume) {
-  ASSIGN_OR_RETURN(std::vector<ServerId> candidates, ServerCandidates(volume));
-  return candidates.front();
+  ASSIGN_OR_RETURN(VolumeInfo info, VolumeInfoFor(volume, /*refresh=*/false));
+  const std::vector<ServerId> replicas = ReplicaOrder(info);
+  return replicas.empty() ? info.custodian : replicas.front();
 }
 
 Result<VolumeId> Venus::ChooseVolume(VolumeId volume, bool for_update) {

@@ -202,10 +202,11 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   // Server to contact for this volume: nearest read-only replica site for RO
   // volumes, else the custodian.
   [[nodiscard]] Result<ServerId> ServerFor(VolumeId volume);
-  // All servers that can satisfy requests for this volume, in preference
-  // order (nearest replica first). Read-only replication "enhances
-  // availability": when a site is down, the next one is tried.
-  [[nodiscard]] Result<std::vector<ServerId>> ServerCandidates(VolumeId volume);
+  // A read-only volume's replica sites in preference order (nearest replica
+  // first); empty for any other volume, which its custodian serves alone.
+  // Read-only replication "enhances availability": when a site is down, the
+  // next one is tried.
+  std::vector<ServerId> ReplicaOrder(const vice::VolumeInfo& info) const;
   // Volume to traverse into: the released RO clone when one exists and the
   // access does not require write.
   [[nodiscard]] Result<VolumeId> ChooseVolume(VolumeId volume, bool for_update);

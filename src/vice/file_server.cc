@@ -3,7 +3,7 @@
 #include "src/common/logging.h"
 #include "src/common/path.h"
 #include "src/protection/access_list.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/fault_injector.h"
 #include "src/sim/kernel.h"
 #include "src/vice/recovery/intention_log.h"
 
@@ -33,7 +33,7 @@ ViceServer::ViceServer(ServerId id, NodeId node, net::Network* network,
   ITC_CHECK(!(config_.callbacks && config_.leases));
   protection->RegisterReplica(&protection_replica_);
   BindOps();
-  endpoint_.set_registry(&registry_);
+  endpoint_.set_service(&registry_);
 }
 
 void ViceServer::InstallVolume(std::unique_ptr<Volume> volume) {

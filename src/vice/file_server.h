@@ -39,10 +39,6 @@
 #include "src/vice/recovery/stable_store.h"
 #include "src/vice/volume.h"
 
-namespace itc::rpc {
-enum class CrashPoint : uint8_t;
-}  // namespace itc::rpc
-
 namespace itc::vice {
 
 struct ViceConfig {

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/rpc/interceptor.h"
+#include "src/rpc/fault_injector.h"
 #include "src/rpc/wire.h"
 
 namespace itc::baseline {

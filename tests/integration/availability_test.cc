@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/campus/campus.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/fault_injector.h"
 #include "src/workload/populate.h"
 
 namespace itc {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/campus/campus.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/fault_injector.h"
 
 namespace itc {
 namespace {

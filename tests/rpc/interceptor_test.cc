@@ -1,8 +1,13 @@
-// Tests for the RPC interceptor chain: per-op tracing into CallStats, the
-// client-stub retry/deadline interceptors (§3.5.3 — idempotent ops only are
-// resent; mutators run at most once), and seeded server-side fault injection.
+// Tests for the RPC call path: per-op CallStats at both ends, the client
+// stub's resends and deadline (§3.5.3 — idempotent ops only are resent;
+// mutators run at most once), and the endpoint's deterministic fault
+// injector.
 
-#include "src/rpc/interceptor.h"
+#include "src/rpc/fault_injector.h"
+
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -188,17 +193,14 @@ TEST_F(InterceptorCampusTest, SeededFaultInjectionByClass) {
 
   // Every store is answered with the fault; fetches (including the directory
   // fetches path resolution needs) are untouched.
-  FaultConfig fault;
-  fault.error_probability = 1.0;
-  fault.error = Status::kTimedOut;
-  fault.only_class = CallClass::kStore;
-  campus_->server(0).endpoint().fault().set_config(fault);
+  campus_->server(0).endpoint().fault().FailCalls(0, UINT32_MAX, Status::kTimedOut,
+                                                  CallClass::kStore);
 
   EXPECT_TRUE(ws_->ReadWholeFile("/vice/usr/u/f").ok());
   EXPECT_EQ(ws_->WriteWholeFile("/vice/usr/u/f", ToBytes("y")), Status::kTimedOut);
 
   // Lifting the fault restores normal service.
-  campus_->server(0).endpoint().fault().set_config(FaultConfig{});
+  campus_->server(0).endpoint().fault().FailCalls(0, 0);
   EXPECT_EQ(ws_->WriteWholeFile("/vice/usr/u/f", ToBytes("y")), Status::kOk);
 }
 
@@ -274,6 +276,205 @@ TEST(FailCallsTest, SkipsThenFailsExactlyCountCalls) {
   EXPECT_TRUE((*conn)->Call(1, ToBytes("b")).ok());
   EXPECT_EQ((*conn)->Call(1, ToBytes("c")).status(), Status::kConnectionBroken);
   EXPECT_TRUE((*conn)->Call(1, ToBytes("d")).ok());
+}
+
+// --- What each stage records -------------------------------------------------
+
+// A toy service on a bare endpoint. Every reply is an OK status and the
+// request echoed back.
+const OpSchema& StageSchema() {
+  static const OpSchema schema("stages", {
+                                             {1, "Get", CallClass::kFetch, true},
+                                             {2, "Put", CallClass::kStore, false},
+                                             {3, "Slow", CallClass::kStatus, true},
+                                         });
+  return schema;
+}
+
+Result<Bytes> Echo(CallContext&, const Bytes& request) {
+  Writer w;
+  w.PutStatus(Status::kOk);
+  w.PutBytes(request);
+  return w.Take();
+}
+
+using ErrorCodes = std::vector<std::pair<Status, uint64_t>>;
+
+// One CallStats row as the script leaves it.
+struct PinnedRow {
+  uint32_t opcode;
+  uint64_t calls;
+  uint64_t errors;
+  uint64_t bytes_in;
+  uint64_t bytes_out;
+  uint64_t latency_count;
+  SimTime latency_sum;
+  SimTime latency_min;
+  SimTime latency_max;
+  ErrorCodes error_codes;
+};
+
+void ExpectRows(const CallStats& stats, const std::vector<PinnedRow>& pinned) {
+  ASSERT_EQ(stats.per_op().size(), pinned.size());
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    const auto& [opcode, row] = stats.per_op()[i];
+    const PinnedRow& want = pinned[i];
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(opcode, want.opcode);
+    EXPECT_EQ(row.calls, want.calls);
+    EXPECT_EQ(row.errors, want.errors);
+    EXPECT_EQ(row.bytes_in, want.bytes_in);
+    EXPECT_EQ(row.bytes_out, want.bytes_out);
+    EXPECT_EQ(row.latency.count(), want.latency_count);
+    EXPECT_EQ(row.latency.sum(), want.latency_sum);
+    EXPECT_EQ(row.latency.min(), want.latency_min);
+    EXPECT_EQ(row.latency.max(), want.latency_max);
+    EXPECT_EQ(ErrorCodes(row.error_codes.begin(), row.error_codes.end()), want.error_codes);
+  }
+}
+
+// The rows the script leaves, unsealed and sealed, each as {opcode, calls,
+// errors, bytes in, bytes out, latency count, sum, min, max (µs), error
+// codes}. The server records every attempt that passes the refusal check,
+// timed from arrival; the client records one row per call, timed over all
+// attempts and backoffs.
+constexpr Status kLost = Status::kUnavailable;
+constexpr Status kBroken = Status::kConnectionBroken;
+constexpr Status kLate = Status::kTimedOut;
+const std::vector<PinnedRow> kServerRows[2] = {
+    {
+        {1, 5, 2, 30, 42, 5, 41200, 0, 10300, {{kLost, 1}, {kBroken, 1}}},
+        {2, 1, 1, 3, 0, 1, 10300, 10300, 10300, {{kLost, 1}}},
+        {3, 3, 0, 12, 36, 3, 1530900, 510300, 510300, {}},
+    },
+    {
+        {1, 5, 2, 30, 42, 5, 41228, 0, 10307, {{kLost, 1}, {kBroken, 1}}},
+        {2, 1, 1, 3, 0, 1, 10305, 10305, 10305, {{kLost, 1}}},
+        {3, 3, 0, 12, 36, 3, 1530915, 510305, 510305, {}},
+    },
+};
+const std::vector<PinnedRow> kClientRows[2] = {
+    {
+        {1, 5, 2, 31, 42, 5, 198628, 7040, 81120, {{kLost, 1}, {kBroken, 1}}},
+        {2, 1, 1, 3, 0, 1, 17337, 17337, 17337, {{kLost, 1}}},
+        {3, 1, 1, 4, 0, 1, 1633119, 1633119, 1633119, {{kLate, 1}}},
+    },
+    {
+        {1, 5, 2, 31, 42, 5, 198970, 7068, 81204, {{kLost, 1}, {kBroken, 1}}},
+        {2, 1, 1, 3, 0, 1, 17365, 17365, 17365, {{kLost, 1}}},
+        {3, 1, 1, 4, 0, 1, 1633293, 1633293, 1633293, {{kLate, 1}}},
+    },
+};
+constexpr SimTime kFinalClock[2] = {1894322, 1894866};
+
+class CallStagesTest : public ::testing::TestWithParam<bool> {};
+
+// Runs one script through every stage of the call path: a plain call, a
+// lost reply that is resent, a lost reply that is not, a call that times out
+// on every attempt, injected failures and a refused call. Every server and
+// client row, and the client's final clock, equal their pinned values.
+TEST_P(CallStagesTest, RecordPinnedRows) {
+  net::Topology topo(net::TopologyConfig{1, 1, 2});
+  const sim::CostModel cost = sim::CostModel::Default1985();
+  net::Network network(topo, cost);
+  const crypto::Key key = crypto::DeriveKeyFromPassword("pw", "realm");
+  OpRegistry registry(&StageSchema());
+  registry.Bind(1, Echo);
+  registry.Bind(2, Echo);
+  registry.Bind(3, [](CallContext& ctx, const Bytes& request) {
+    ctx.ChargeCpu(Millis(500));
+    return Echo(ctx, request);
+  });
+
+  RpcConfig config;
+  config.encrypt = GetParam();
+  config.retry.max_retries = 2;
+  config.call_deadline = Millis(100);
+  ServerEndpoint server(
+      topo.ServerNode(0, 0), &network, cost, config,
+      [&key](UserId) -> std::optional<crypto::Key> { return key; }, 999);
+  server.set_service(&registry);
+
+  sim::Clock clock;
+  CallStats client_stats;
+  auto conn = ClientConnection::Connect(topo.WorkstationNode(0, 0), 7, key, &server, &network,
+                                        cost, &clock, 555,
+                                        ClientOptions{&StageSchema(), &client_stats});
+  ASSERT_TRUE(conn.ok());
+  ClientConnection& c = **conn;
+
+  // 1. A plain Get.
+  EXPECT_TRUE(c.Call(1, ToBytes("plain")).ok());
+  // 2. A Get whose first reply is lost: it is resent.
+  server.fault().DropNextReplies(1);
+  EXPECT_TRUE(c.Call(1, ToBytes("resent")).ok());
+  // 3. A Put whose reply is lost: it ran once and is not resent.
+  server.fault().DropNextReplies(1);
+  EXPECT_EQ(c.Call(2, ToBytes("put")).status(), Status::kUnavailable);
+  // 4. A Slow call past the deadline on all three attempts.
+  EXPECT_EQ(c.Call(3, ToBytes("slow")).status(), Status::kTimedOut);
+  // 5. One Get let through, the next failed unexecuted.
+  server.fault().FailCalls(1, 1, Status::kConnectionBroken);
+  EXPECT_TRUE(c.Call(1, ToBytes("skipped")).ok());
+  EXPECT_EQ(c.Call(1, ToBytes("failed")).status(), Status::kConnectionBroken);
+  // 6. A Get refused before the server records it, on every attempt.
+  server.fault().set_fail_all(true);
+  EXPECT_EQ(c.Call(1, ToBytes("refused")).status(), Status::kUnavailable);
+  server.fault().set_fail_all(false);
+
+  const int sealed = GetParam() ? 1 : 0;
+  {
+    SCOPED_TRACE("server");
+    ExpectRows(server.call_stats(), kServerRows[sealed]);
+  }
+  {
+    SCOPED_TRACE("client");
+    ExpectRows(client_stats, kClientRows[sealed]);
+  }
+  EXPECT_EQ(clock.now(), kFinalClock[sealed]);
+}
+
+INSTANTIATE_TEST_SUITE_P(Envelope, CallStagesTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Sealed" : "Unsealed";
+                         });
+
+
+// With a class filter, `skip` and `count` advance only on calls of that
+// class; calls of other classes, and of ops outside the schema, pass through.
+TEST(FailCallsTest, ClassFilterCountsOnlyMatchingCalls) {
+  net::Topology topo(net::TopologyConfig{1, 1, 2});
+  const sim::CostModel cost = sim::CostModel::Default1985();
+  net::Network network(topo, cost);
+  const crypto::Key key = crypto::DeriveKeyFromPassword("pw", "realm");
+  OpRegistry registry(&StageSchema());
+  registry.Bind(1, Echo);
+  registry.Bind(2, Echo);
+  registry.Bind(3, Echo);
+
+  ServerEndpoint server(
+      topo.ServerNode(0, 0), &network, cost, RpcConfig{},
+      [&key](UserId) -> std::optional<crypto::Key> { return key; }, 999);
+  server.set_service(&registry);
+
+  sim::Clock clock;
+  auto conn = ClientConnection::Connect(topo.WorkstationNode(0, 0), 7, key, &server,
+                                        &network, cost, &clock, 555);
+  ASSERT_TRUE(conn.ok());
+  ClientConnection& c = **conn;
+
+  // Skip one store, fail the next two.
+  server.fault().FailCalls(/*skip=*/1, /*count=*/2, Status::kConnectionBroken,
+                           CallClass::kStore);
+  EXPECT_TRUE(c.Call(1, ToBytes("get")).ok());
+  // Opcode 9 is outside the schema: it reaches the registry, which refuses it.
+  EXPECT_EQ(c.Call(9, ToBytes("unknown")).status(), Status::kProtocolError);
+  EXPECT_TRUE(c.Call(2, ToBytes("skipped put")).ok());
+  EXPECT_TRUE(c.Call(3, ToBytes("status")).ok());
+  EXPECT_EQ(c.Call(2, ToBytes("failed put")).status(), Status::kConnectionBroken);
+  EXPECT_TRUE(c.Call(1, ToBytes("get")).ok());
+  EXPECT_EQ(c.Call(2, ToBytes("failed put")).status(), Status::kConnectionBroken);
+  EXPECT_TRUE(c.Call(2, ToBytes("put")).ok());
 }
 
 }  // namespace

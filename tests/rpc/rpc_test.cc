@@ -7,7 +7,7 @@
 
 #include "src/common/content.h"
 #include "src/crypto/cbc.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/fault_injector.h"
 #include "src/rpc/wire.h"
 
 namespace itc::rpc {

@@ -10,7 +10,7 @@
 
 #include "src/campus/campus.h"
 #include "src/common/content.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/fault_injector.h"
 #include "src/workload/populate.h"
 #include "src/workload/synthetic_user.h"
 

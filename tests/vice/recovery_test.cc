@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/logging.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/fault_injector.h"
 #include "src/rpc/wire.h"
 #include "src/vice/file_server.h"
 #include "src/vice/recovery/intention_log.h"

@@ -65,8 +65,8 @@ struct Budget {
   uint64_t cold_read;
   uint64_t cached_read;
 };
-constexpr Budget kUnsealed{0, 8, 14, 3};
-constexpr Budget kSealed{0, 12, 20, 3};
+constexpr Budget kUnsealed{0, 6, 11, 3};
+constexpr Budget kSealed{0, 10, 17, 3};
 
 std::string FilePath(int i) { return "/vice/usr/u123/f" + std::to_string(i); }
 
