@@ -10,8 +10,6 @@
 //     (proportional to image bytes) plus salvage (proportional to vnodes);
 //   * log length   — with checkpointing disabled, restart cost grows with
 //     the number of committed intentions that must be replayed.
-//
-// Output: BENCH_recovery.json with both curves.
 
 #include "bench/harness.h"
 
@@ -31,7 +29,6 @@ struct Point {
   uint64_t log_records = 0;    // intention records at crash time
   uint32_t replayed = 0;
   SimTime recovery_us = 0;
-  long peak_rss_kb = 0;
 };
 
 struct Lab {
@@ -82,7 +79,6 @@ Point RunVolumeSizePoint(uint32_t files) {
   ITC_CHECK(report.clean());
   p.replayed = report.intentions_replayed;
   p.recovery_us = report.recovery_time;
-  p.peak_rss_kb = ReadPeakRssKb();
   return p;
 }
 
@@ -108,7 +104,6 @@ Point RunLogLengthPoint(uint32_t writes) {
   ITC_CHECK(report.clean());
   p.replayed = report.intentions_replayed;
   p.recovery_us = report.recovery_time;
-  p.peak_rss_kb = ReadPeakRssKb();
   return p;
 }
 
@@ -122,34 +117,6 @@ void PrintCurve(const char* x_name, const std::vector<Point>& curve) {
                 static_cast<unsigned long long>(p.log_records), p.replayed,
                 static_cast<long long>(p.recovery_us));
   }
-}
-
-void WriteJson(const std::string& path, const std::vector<Point>& by_size,
-               const std::vector<Point>& by_log) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ITC_CHECK(f != nullptr);
-  auto emit_curve = [&](const char* name, const char* x_name,
-                        const std::vector<Point>& curve, bool last) {
-    std::fprintf(f, "  \"%s\": [\n", name);
-    for (size_t i = 0; i < curve.size(); ++i) {
-      const Point& p = curve[i];
-      std::fprintf(f,
-                   "    {\"%s\": %u, \"vnodes\": %llu, \"image_bytes\": %llu, "
-                   "\"log_records\": %llu, \"replayed\": %u, \"recovery_us\": %lld, "
-                   "\"peak_rss_kb\": %ld}%s\n",
-                   x_name, p.x, static_cast<unsigned long long>(p.vnodes),
-                   static_cast<unsigned long long>(p.image_bytes),
-                   static_cast<unsigned long long>(p.log_records), p.replayed,
-                   static_cast<long long>(p.recovery_us), p.peak_rss_kb,
-                   i + 1 < curve.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]%s\n", last ? "" : ",");
-  };
-  std::fprintf(f, "{\n");
-  emit_curve("volume_size_curve", "files", by_size, /*last=*/false);
-  emit_curve("log_length_curve", "writes", by_log, /*last=*/true);
-  std::fprintf(f, "}\n");
-  std::fclose(f);
 }
 
 }  // namespace
@@ -167,8 +134,5 @@ int main() {
   std::vector<Point> by_log;
   for (uint32_t writes : {8u, 32u, 128u, 512u}) by_log.push_back(RunLogLengthPoint(writes));
   PrintCurve("writes", by_log);
-
-  WriteJson("BENCH_recovery.json", by_size, by_log);
-  std::printf("\nwrote BENCH_recovery.json\n");
   return 0;
 }

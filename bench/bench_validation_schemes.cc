@@ -18,9 +18,6 @@
 //     must rebuild trust with epoch probes and a revalidation burst;
 //     leases rebuild nothing — the server just refuses grants for one
 //     term, and grants ride the validations clients make anyway.
-//
-// Output: BENCH_validation.json (open latency, validation RPCs per
-// interaction, staleness-window distribution, restart recovery).
 
 #include <algorithm>
 #include <memory>
@@ -303,63 +300,6 @@ RestartResult RunRestartArm(Scheme scheme) {
   return r;
 }
 
-// ----------------------------------------------------------------------- JSON
-
-void WriteJson(const std::vector<Scheme>& schemes,
-               const std::vector<SteadyResult>& steady,
-               const std::vector<std::vector<PartitionResult>>& partition,
-               const std::vector<RestartResult>& restart) {
-  std::FILE* f = std::fopen("BENCH_validation.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_validation.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"validation_schemes\",\n  \"schemes\": [\n");
-  for (size_t i = 0; i < schemes.size(); ++i) {
-    const SteadyResult& s = steady[i];
-    const RestartResult& rr = restart[i];
-    std::fprintf(f, "    {\"scheme\": \"%s\", \"peak_rss_kb\": %ld,\n",
-                 SchemeName(schemes[i]), ReadPeakRssKb());
-    std::fprintf(
-        f,
-        "     \"steady\": {\"server_calls\": %llu, \"validation_rpcs\": %llu, "
-        "\"renew_calls\": %llu, \"validations_per_open\": %.4f, "
-        "\"mean_open_ms\": %.2f, \"server_cpu\": %.4f, "
-        "\"promises_or_leases_held\": %llu},\n",
-        static_cast<unsigned long long>(s.total_calls),
-        static_cast<unsigned long long>(s.validations),
-        static_cast<unsigned long long>(s.renew_calls), s.validations_per_open,
-        s.open_ms, s.cpu_util,
-        static_cast<unsigned long long>(s.promises_or_leases));
-    bool stale_after_heal = false;
-    double unavailable_s = 0;
-    std::fprintf(f, "     \"partition\": {\"staleness_window_s\": [");
-    for (size_t k = 0; k < partition[i].size(); ++k) {
-      std::fprintf(f, "%s%.1f", k ? ", " : "", partition[i][k].staleness_s);
-      stale_after_heal = stale_after_heal || partition[i][k].stale_after_heal;
-      unavailable_s = std::max(unavailable_s, partition[i][k].unavailable_s);
-    }
-    std::fprintf(f,
-                 "], \"stale_after_heal\": %s, \"max_unavailable_s\": %.1f},\n",
-                 stale_after_heal ? "true" : "false", unavailable_s);
-    std::fprintf(
-        f,
-        "     \"restart\": {\"recovery_s\": %.1f, \"never_quiet\": %s, "
-        "\"probe_epoch_calls\": %llu, \"revalidations\": %llu, "
-        "\"renew_calls\": %llu, \"lease_embargo_s\": %.1f, "
-        "\"embargo_write_delay_s\": %.1f, \"server_recovery_s\": %.2f}}%s\n",
-        rr.recovery_s, rr.never_quiet ? "true" : "false",
-        static_cast<unsigned long long>(rr.probe_epoch_calls),
-        static_cast<unsigned long long>(rr.revalidations),
-        static_cast<unsigned long long>(rr.renew_calls), rr.lease_embargo_s,
-        rr.embargo_write_delay_s, rr.server_recovery_s,
-        i + 1 != schemes.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote BENCH_validation.json\n");
-}
-
 }  // namespace
 
 int main() {
@@ -373,26 +313,33 @@ int main() {
   std::vector<SteadyResult> steady;
   for (Scheme s : schemes) steady.push_back(RunSteadyArm(s));
 
-  std::printf("%-28s %16s %16s %16s\n", "metric", "check-on-open", "callbacks",
-              "leases");
-  auto row_u = [&](const char* name, auto get) {
-    std::printf("%-28s %16llu %16llu %16llu\n", name,
-                static_cast<unsigned long long>(get(steady[0])),
-                static_cast<unsigned long long>(get(steady[1])),
-                static_cast<unsigned long long>(get(steady[2])));
+  // One metric per row, one scheme per column.
+  auto header = [] {
+    std::printf("%-28s %16s %16s %16s\n", "metric", "check-on-open", "callbacks", "leases");
   };
-  row_u("server calls (total)", [](const SteadyResult& r) { return r.total_calls; });
-  row_u("validation RPCs", [](const SteadyResult& r) { return r.validations; });
-  row_u("lease renewal RPCs", [](const SteadyResult& r) { return r.renew_calls; });
-  std::printf("%-28s %16.3f %16.3f %16.3f\n", "validations / open",
-              steady[0].validations_per_open, steady[1].validations_per_open,
-              steady[2].validations_per_open);
-  std::printf("%-28s %15.1f%% %15.1f%% %15.1f%%\n", "server CPU utilization",
+  auto row_u = [](const char* name, const auto& results, auto get) {
+    std::printf("%-28s", name);
+    for (const auto& r : results) std::printf(" %16llu", static_cast<unsigned long long>(get(r)));
+    std::printf("\n");
+  };
+  auto row_f = [](const char* name, int decimals, const auto& results, auto get) {
+    std::printf("%-28s", name);
+    for (const auto& r : results) std::printf(" %16.*f", decimals, get(r));
+    std::printf("\n");
+  };
+
+  header();
+  row_u("server calls (total)", steady, [](const SteadyResult& r) { return r.total_calls; });
+  row_u("validation RPCs", steady, [](const SteadyResult& r) { return r.validations; });
+  row_u("lease renewal RPCs", steady, [](const SteadyResult& r) { return r.renew_calls; });
+  row_f("validations / open", 4, steady,
+        [](const SteadyResult& r) { return r.validations_per_open; });
+  std::printf("%-28s %15.2f%% %15.2f%% %15.2f%%\n", "server CPU utilization",
               100.0 * steady[0].cpu_util, 100.0 * steady[1].cpu_util,
               100.0 * steady[2].cpu_util);
-  std::printf("%-28s %13.0f ms %13.0f ms %13.0f ms\n", "mean open latency",
+  std::printf("%-28s %13.2f ms %13.2f ms %13.2f ms\n", "mean open latency",
               steady[0].open_ms, steady[1].open_ms, steady[2].open_ms);
-  row_u("promises / leases held",
+  row_u("promises / leases held", steady,
         [](const SteadyResult& r) { return r.promises_or_leases; });
 
   PrintSection("healed partition (120 s, write lands mid-partition)");
@@ -404,28 +351,32 @@ int main() {
     }
     std::printf("%-14s staleness_s = [", SchemeName(schemes[i]));
     bool heal = false;
+    double unavailable_s = 0;
     for (size_t k = 0; k < partition[i].size(); ++k) {
       std::printf("%s%.1f", k ? ", " : "", partition[i][k].staleness_s);
       heal = heal || partition[i][k].stale_after_heal;
+      unavailable_s = std::max(unavailable_s, partition[i][k].unavailable_s);
     }
-    std::printf("]  stale_after_heal=%s\n", heal ? "YES" : "no");
+    std::printf("]  stale_after_heal=%s  max_unavailable_s=%.1f\n", heal ? "YES" : "no",
+                unavailable_s);
   }
 
   PrintSection("restart storm (3 clients x 6 cached files, probes every 2 s)");
   std::vector<RestartResult> restart;
-  for (Scheme s : schemes) {
-    restart.push_back(RunRestartArm(s));
-    const RestartResult& r = restart.back();
-    std::printf(
-        "%-14s recovery=%5.1fs%s  epoch probes=%2llu  revalidations=%3llu  "
-        "write delay during embargo=%4.1fs\n",
-        SchemeName(s), r.recovery_s, r.never_quiet ? " (never trusted)" : "",
-        static_cast<unsigned long long>(r.probe_epoch_calls),
-        static_cast<unsigned long long>(r.revalidations),
-        r.embargo_write_delay_s);
-  }
-
-  WriteJson(schemes, steady, partition, restart);
+  for (Scheme s : schemes) restart.push_back(RunRestartArm(s));
+  header();
+  row_f("recovery (s)", 1, restart, [](const RestartResult& r) { return r.recovery_s; });
+  std::printf("%-28s %16s %16s %16s\n", "never quiet", restart[0].never_quiet ? "yes" : "no",
+              restart[1].never_quiet ? "yes" : "no", restart[2].never_quiet ? "yes" : "no");
+  row_u("epoch probes", restart, [](const RestartResult& r) { return r.probe_epoch_calls; });
+  row_u("revalidations", restart, [](const RestartResult& r) { return r.revalidations; });
+  row_u("lease renewal RPCs", restart, [](const RestartResult& r) { return r.renew_calls; });
+  row_f("lease embargo (s)", 1, restart,
+        [](const RestartResult& r) { return r.lease_embargo_s; });
+  row_f("write delay in embargo (s)", 1, restart,
+        [](const RestartResult& r) { return r.embargo_write_delay_s; });
+  row_f("server recovery (s)", 2, restart,
+        [](const RestartResult& r) { return r.server_recovery_s; });
 
   std::printf(
       "\nshape check: callbacks and leases both eliminate the per-open\n"

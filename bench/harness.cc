@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <string_view>
 
 #include "src/common/logging.h"
 
@@ -47,66 +46,6 @@ void PrintTitle(const std::string& bench, const std::string& paper_claim) {
 
 void PrintSection(const std::string& name) {
   std::printf("\n--- %s ---\n", name.c_str());
-}
-
-namespace {
-
-// Minimal JSON string escaping; op names and labels are plain identifiers
-// but backslash/quote safety costs nothing.
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
-
-void WriteRpcStatsJson(const std::string& path, const std::vector<RpcStatsRun>& runs) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"runs\": [\n");
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const RpcStatsRun& run = runs[i];
-    std::fprintf(f, "    {\n      \"label\": \"%s\",\n", JsonEscape(run.label).c_str());
-    std::fprintf(f, "      \"peak_rss_kb\": %ld,\n",
-                 run.peak_rss_kb >= 0 ? run.peak_rss_kb : ReadPeakRssKb());
-    std::fprintf(f, "      \"total_calls\": %llu,\n",
-                 static_cast<unsigned long long>(run.stats.total_calls()));
-    std::fprintf(f, "      \"total_errors\": %llu,\n",
-                 static_cast<unsigned long long>(run.stats.total_errors()));
-    std::fprintf(f, "      \"ops\": [\n");
-    size_t remaining = run.stats.per_op().size();
-    for (const auto& [opcode, op] : run.stats.per_op()) {
-      remaining -= 1;
-      const auto& lat = op.latency;
-      std::fprintf(
-          f,
-          "        {\"opcode\": %u, \"name\": \"%s\", \"class\": \"%s\", "
-          "\"calls\": %llu, \"errors\": %llu, \"bytes_in\": %llu, "
-          "\"bytes_out\": %llu, \"latency_us\": {\"mean\": %.1f, \"p50\": %lld, "
-          "\"p95\": %lld, \"p99\": %lld, \"max\": %lld}}%s\n",
-          opcode, JsonEscape(op.name).c_str(),
-          JsonEscape(rpc::CallClassName(op.call_class)).c_str(),
-          static_cast<unsigned long long>(op.calls),
-          static_cast<unsigned long long>(op.errors),
-          static_cast<unsigned long long>(op.bytes_in),
-          static_cast<unsigned long long>(op.bytes_out), lat.Mean(),
-          static_cast<long long>(lat.Percentile(0.5)),
-          static_cast<long long>(lat.Percentile(0.95)),
-          static_cast<long long>(lat.Percentile(0.99)),
-          static_cast<long long>(lat.max()), remaining != 0 ? "," : "");
-    }
-    std::fprintf(f, "      ]\n    }%s\n", i + 1 != runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
 }
 
 UserDayLab::UserDayLab(UserDayLabConfig config) : config_(std::move(config)) {

@@ -28,8 +28,9 @@ void PrintSection(const std::string& name);
 // VmHWM in /proc/self/status (clear_refs "5" resets the high-water mark).
 // Falls back to the lifetime getrusage(RUSAGE_SELF) peak where /proc is
 // unavailable — the fallback cannot be reset, so treat it as monotone.
-// Every bench reports this in its BENCH_*.json rows: host memory is a
-// first-class result for a simulator whose ambition is 10k clients.
+// bench_kernel_throughput and bench_memory_per_client report it in their
+// JSON rows: host memory is a first-class result for a simulator whose
+// ambition is 10k clients.
 void ResetPeakRss();
 long ReadPeakRssKb();
 
@@ -47,19 +48,6 @@ class Phase {
   static int64_t HostNowNs();
   int64_t start_ns_;
 };
-
-// One labelled CallStats snapshot (e.g. "prototype", "revised") destined for
-// the machine-readable dump.
-struct RpcStatsRun {
-  std::string label;
-  rpc::CallStats stats;
-  // Peak RSS attributed to this run; -1 = sample at write time instead.
-  long peak_rss_kb = -1;
-};
-
-// Writes per-op counts, error counts, byte totals, and latency
-// mean/p50/p95/p99/max (microseconds) for each run as JSON to `path`.
-void WriteRpcStatsJson(const std::string& path, const std::vector<RpcStatsRun>& runs);
 
 // A campus of synthetic users, one per workstation, each with a home volume
 // on the server in its own cluster, plus a shared system volume (mounted at

@@ -7,8 +7,8 @@
 // endpoints own one CallStats and record each call they serve once, timed
 // from its arrival; client stubs (Venus, the protection client) may own
 // another and record each call once, timed over all its attempts and
-// backoffs. Campus aggregates the server-side tables; bench/ dumps them as
-// BENCH_rpc.json.
+// backoffs. Campus aggregates the server-side tables; bench_call_histogram
+// prints them (EXPERIMENTS.md E1).
 
 #ifndef SRC_RPC_CALL_STATS_H_
 #define SRC_RPC_CALL_STATS_H_

@@ -40,10 +40,6 @@ struct VenusConfig {
   // false = the prototype: full pathnames go to the server (ResolvePath).
   bool client_path_traversal = true;
 
-  // Prefer a read-only replica (nearest site) over the read-write custodian
-  // when one has been released and the access does not need to write.
-  bool prefer_readonly_replicas = true;
-
   // Write-back policy (Section 3.2): "Changes to a cached file may be
   // transmitted on close ... or deferred until a later time. In our design,
   // Virtue stores a file back when it is closed ... to simplify recovery
@@ -62,7 +58,6 @@ inline VenusConfig PrototypeVenusConfig() {
   c.validation = VenusConfig::Validation::kCheckOnOpen;
   c.cache_limit = VenusConfig::CacheLimit::kFileCount;
   c.client_path_traversal = false;
-  c.prefer_readonly_replicas = true;
   return c;
 }
 

@@ -1,7 +1,6 @@
 #include "src/venus/venus.h"
 
 #include <algorithm>
-#include <span>
 
 #include "src/common/content.h"
 #include "src/common/logging.h"
@@ -172,15 +171,11 @@ Result<Bytes> Venus::CallServer(ServerId server, Proc proc, const Bytes& request
 
 Result<Bytes> Venus::CallForFid(const Fid& fid, Proc proc, const Bytes& request,
                                 std::optional<rpc::Bulk>* bulk) {
-  ASSIGN_OR_RETURN(VolumeInfo info, VolumeInfoFor(fid.volume, /*refresh=*/false));
-  // Without replica sites the custodian is the one server to try, and no
-  // list is built.
-  const std::vector<ServerId> replicas = ReplicaOrder(info);
-  const std::span<const ServerId> candidates =
-      replicas.empty() ? std::span<const ServerId>(&info.custodian, 1) : replicas;
-
+  ASSIGN_OR_RETURN(const VolumeInfo* info, VolumeInfoFor(fid.volume, /*refresh=*/false));
   Status transport_failure = Status::kUnavailable;
-  for (ServerId server : candidates) {
+  size_t cursor = 0;
+  for (ServerId server = NextServer(*info, &cursor); server != kInvalidServer;
+       server = NextServer(*info, &cursor)) {
     auto reply = CallServer(server, proc, request, bulk);
     if (!reply.ok()) {
       if (reply.status() == Status::kUnavailable ||
@@ -230,10 +225,10 @@ Result<VolumeId> Venus::RootVolume() {
   return root_volume_;
 }
 
-Result<VolumeInfo> Venus::VolumeInfoFor(VolumeId volume, bool refresh) {
+Result<const VolumeInfo*> Venus::VolumeInfoFor(VolumeId volume, bool refresh) {
   if (!refresh) {
     auto it = volume_hints_.find(volume);
-    if (it != volume_hints_.end()) return it->second;
+    if (it != volume_hints_.end()) return &it->second;
   }
   rpc::Writer w;
   w.PutU32(volume);
@@ -241,39 +236,39 @@ Result<VolumeInfo> Venus::VolumeInfoFor(VolumeId volume, bool refresh) {
   rpc::Reader r(reply);
   RETURN_IF_ERROR(rpc::ExpectOk(r));
   ASSIGN_OR_RETURN(VolumeInfo info, vice::ReadVolumeInfo(r));
-  volume_hints_[volume] = info;
-  return info;
+  VolumeInfo& hint = volume_hints_[volume];
+  hint = std::move(info);
+  return &hint;
 }
 
-std::vector<ServerId> Venus::ReplicaOrder(const VolumeInfo& info) const {
-  if (!info.read_only) return {};
-  // "Localize if possible": a replica in our own cluster first, then the
-  // remaining sites as availability fallbacks.
+ServerId Venus::NextServer(const VolumeInfo& info, size_t* cursor) const {
+  const std::vector<ServerId>& sites = info.replica_sites;
+  if (!info.read_only || sites.empty()) return (*cursor)++ == 0 ? info.custodian : kInvalidServer;
+  // "Localize if possible": the first pass over the list takes the sites in
+  // our own cluster, the second the rest (a site listed twice, once).
   const net::Topology& topo = network_->topology();
   const ClusterId mine = topo.ClusterOf(node_);
-  std::vector<ServerId> out;
-  for (ServerId site : info.replica_sites) {
-    auto it = servers_->find(site);
-    if (it != servers_->end() && topo.ClusterOf(it->second->node()) == mine) {
-      out.push_back(site);
-    }
+  const size_t n = sites.size();
+  while (*cursor < 2 * n) {
+    const size_t i = (*cursor)++;
+    const auto site = sites.begin() + static_cast<std::ptrdiff_t>(i % n);
+    auto it = servers_->find(*site);
+    const bool local = it != servers_->end() && topo.ClusterOf(it->second->node()) == mine;
+    if (i < n ? local : !local && std::find(sites.begin(), site, *site) == site) return *site;
   }
-  for (ServerId site : info.replica_sites) {
-    if (std::find(out.begin(), out.end(), site) == out.end()) out.push_back(site);
-  }
-  return out;
+  return kInvalidServer;
 }
 
 Result<ServerId> Venus::ServerFor(VolumeId volume) {
-  ASSIGN_OR_RETURN(VolumeInfo info, VolumeInfoFor(volume, /*refresh=*/false));
-  const std::vector<ServerId> replicas = ReplicaOrder(info);
-  return replicas.empty() ? info.custodian : replicas.front();
+  ASSIGN_OR_RETURN(const VolumeInfo* info, VolumeInfoFor(volume, /*refresh=*/false));
+  size_t cursor = 0;
+  return NextServer(*info, &cursor);
 }
 
 Result<VolumeId> Venus::ChooseVolume(VolumeId volume, bool for_update) {
-  if (for_update || !config_.prefer_readonly_replicas) return volume;
-  ASSIGN_OR_RETURN(VolumeInfo info, VolumeInfoFor(volume, /*refresh=*/false));
-  if (!info.read_only && info.ro_clone != kInvalidVolume) return info.ro_clone;
+  if (for_update) return volume;
+  ASSIGN_OR_RETURN(const VolumeInfo* info, VolumeInfoFor(volume, /*refresh=*/false));
+  if (!info->read_only && info->ro_clone != kInvalidVolume) return info->ro_clone;
   return volume;
 }
 
@@ -462,9 +457,9 @@ Result<Venus::ParentRef> Venus::ResolveParentOf(const std::string& path, bool fo
 // the mapping is a volume-id rebrand of the resolved fid.
 Result<Fid> Venus::MapForUpdate(Fid fid, bool for_update) {
   if (!for_update || !fid.valid()) return fid;
-  ASSIGN_OR_RETURN(vice::VolumeInfo info, VolumeInfoFor(fid.volume, /*refresh=*/false));
-  if (info.read_only && info.read_write_volume != kInvalidVolume) {
-    fid.volume = info.read_write_volume;
+  ASSIGN_OR_RETURN(const vice::VolumeInfo* info, VolumeInfoFor(fid.volume, /*refresh=*/false));
+  if (info->read_only && info->read_write_volume != kInvalidVolume) {
+    fid.volume = info->read_write_volume;
   }
   return fid;
 }

@@ -198,15 +198,20 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
 
   // --- Location ---------------------------------------------------------------------
   [[nodiscard]] Result<VolumeId> RootVolume();
-  [[nodiscard]] Result<vice::VolumeInfo> VolumeInfoFor(VolumeId volume, bool refresh);
+  // The cached location hint of `volume`, fetched first when there is none
+  // or `refresh` is set. The hint stays in place until the next refresh of
+  // the same volume or FlushCache.
+  [[nodiscard]] Result<const vice::VolumeInfo*> VolumeInfoFor(VolumeId volume, bool refresh);
   // Server to contact for this volume: nearest read-only replica site for RO
   // volumes, else the custodian.
   [[nodiscard]] Result<ServerId> ServerFor(VolumeId volume);
-  // A read-only volume's replica sites in preference order (nearest replica
-  // first); empty for any other volume, which its custodian serves alone.
-  // Read-only replication "enhances availability": when a site is down, the
-  // next one is tried.
-  std::vector<ServerId> ReplicaOrder(const vice::VolumeInfo& info) const;
+  // Steps `*cursor` (0 to start) to the next server to try for the volume
+  // `info` describes and returns it; kInvalidServer once none is left. A
+  // read-only volume's replica sites come nearest first (the sites in our own
+  // cluster, then the rest, each in stored order); any other volume has its
+  // custodian alone. Read-only replication "enhances availability": when a
+  // site is down, the next one is tried.
+  ServerId NextServer(const vice::VolumeInfo& info, size_t* cursor) const;
   // Volume to traverse into: the released RO clone when one exists and the
   // access does not require write.
   [[nodiscard]] Result<VolumeId> ChooseVolume(VolumeId volume, bool for_update);

@@ -83,7 +83,6 @@ class ViceServer {
   rpc::ServerEndpoint& endpoint() { return endpoint_; }
   const rpc::ServerEndpoint& endpoint() const { return endpoint_; }
   const ViceConfig& config() const { return config_; }
-  void set_config(ViceConfig c) { config_ = c; }
   CallbackManager& callbacks() { return callbacks_; }
   LeaseManager& leases() { return leases_; }
   LockManager& locks() { return locks_; }

@@ -4,6 +4,8 @@
 // must not survive recovery), and the volatile/durable state split of
 // SimulateCrash/Restart.
 
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "src/common/logging.h"
@@ -112,7 +114,7 @@ class RecoveryTest : public ::testing::Test {
         cost_(sim::CostModel::Default1985()),
         network_(topo_, cost_) {
     server_ = std::make_unique<ViceServer>(0, topo_.NthServer(0), &network_, cost_,
-                                           rpc::RpcConfig{}, ViceConfig{}, &protection_,
+                                           rpc::RpcConfig{}, ConfigForThisTest(), &protection_,
                                            1000);
     registry_.RegisterServer(server_.get());
     alice_ = *protection_.CreateUser("alice", "pw-a");
@@ -165,6 +167,17 @@ class RecoveryTest : public ::testing::Test {
     RETURN_IF_ERROR(rpc::ExpectOk(r));
     RETURN_IF_ERROR(ReadVnodeStatus(r).status());
     return r.BytesField();
+  }
+
+  // A server's config is fixed when it is built: CheckpointIntervalBoundsTheLog
+  // gets one that checkpoints every second commit, the rest the default.
+  static ViceConfig ConfigForThisTest() {
+    ViceConfig config;
+    if (std::string_view(::testing::UnitTest::GetInstance()->current_test_info()->name()) ==
+        "CheckpointIntervalBoundsTheLog") {
+      config.log_checkpoint_interval = 2;
+    }
+    return config;
   }
 
   Result<uint32_t> ProbeEpoch(rpc::ClientConnection* conn) {
@@ -286,10 +299,7 @@ TEST_F(RecoveryTest, CrashBeforeReplyReplaysCommittedIntention) {
 }
 
 TEST_F(RecoveryTest, CheckpointIntervalBoundsTheLog) {
-  ViceConfig cfg;
-  cfg.log_checkpoint_interval = 2;
-  server_->set_config(cfg);
-
+  ASSERT_EQ(server_->config().log_checkpoint_interval, 2u);
   auto conn = Connect();
   Fid f = *CreateFile(conn.get(), "f");
   for (int i = 0; i < 7; ++i) {

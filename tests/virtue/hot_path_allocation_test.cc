@@ -11,7 +11,10 @@
 //   * Stat of an uncached file — one FetchStatus;
 //   * ReadWholeFile of a cold file — one Fetch;
 //   * ReadWholeFile of a cached file — the descriptor bookkeeping and the
-//     returned bytes.
+//     returned bytes;
+//   * Stat of an uncached file in a read-only volume released to both
+//     cluster servers — one FetchStatus to the nearest replica site, within
+//     the read-write Stat's budget.
 // Each runs unsealed and sealed (the sealed envelope's own buffers are
 // counted too).
 //
@@ -69,11 +72,14 @@ constexpr Budget kUnsealed{0, 6, 11, 3};
 constexpr Budget kSealed{0, 10, 17, 3};
 
 std::string FilePath(int i) { return "/vice/usr/u123/f" + std::to_string(i); }
+// At the replicated volume's root, so the path below the Venus mount
+// ("/unix/sun/f2") fits the short-string buffer as "/usr/u123/f2" does.
+std::string ReplicatedPath(int i) { return "/vice/unix/sun/f" + std::to_string(i); }
 
 class HotPathAllocationTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
-    campus::CampusConfig config = campus::CampusConfig::Revised(1, 2);
+    campus::CampusConfig config = campus::CampusConfig::Revised(2, 1);
     config.rpc.encrypt = GetParam();
     campus_ = std::make_unique<campus::Campus>(config);
     ASSERT_TRUE(campus_->SetupRootVolume().ok());
@@ -84,6 +90,15 @@ class HotPathAllocationTest : public ::testing::TestWithParam<bool> {
       ASSERT_EQ(campus_->PopulateDirect(home->volume, "/f" + std::to_string(i), data),
                 Status::kOk);
     }
+    // A system volume released read-only to the servers of both clusters.
+    auto sys = campus_->CreateSystemVolume("sys", "/unix/sun", /*custodian=*/0);
+    ASSERT_TRUE(sys.ok());
+    for (int i = 0; i < kFiles; ++i) {
+      ASSERT_EQ(campus_->PopulateDirect(*sys, "/f" + std::to_string(i),
+                                        Bytes(4096, static_cast<uint8_t>('A' + i))),
+                Status::kOk);
+    }
+    ASSERT_TRUE(campus_->registry().ReleaseReadOnly(*sys, "sys.ro", {0, 1}).ok());
     ws_ = &campus_->workstation(0);
     ASSERT_EQ(ws_->LoginWithPassword(home->user, "pw-u123"), Status::kOk);
 
@@ -93,6 +108,7 @@ class HotPathAllocationTest : public ::testing::TestWithParam<bool> {
     ASSERT_TRUE(ws_->ReadWholeFile(FilePath(1)).ok());
     ASSERT_TRUE(ws_->ReadWholeFile(FilePath(1)).ok());
     ASSERT_TRUE(ws_->Stat(FilePath(1)).ok());
+    ASSERT_TRUE(ws_->Stat(ReplicatedPath(0)).ok());
   }
 
   uint64_t Calls() const { return ws_->venus().call_stats().total_calls(); }
@@ -134,6 +150,16 @@ TEST_P(HotPathAllocationTest, CallsAllocateOnlyWhatTheyReturnOrKeep) {
   EXPECT_LE(uncached_stat, budget.uncached_stat);
   EXPECT_LE(cold_read, budget.cold_read);
   EXPECT_LE(cached_read, budget.cached_read);
+}
+
+TEST_P(HotPathAllocationTest, ReplicatedStatAllocatesAsAReadWriteOne) {
+  const std::string uncached = ReplicatedPath(2);
+  const uint64_t replicated_stat = Count(1, [&] { return ws_->Stat(uncached).ok(); });
+
+  const bool sealed = GetParam();
+  std::printf("%s allocations: uncached Stat in a replicated read-only volume %llu\n",
+              sealed ? "sealed" : "unsealed", static_cast<unsigned long long>(replicated_stat));
+  EXPECT_LE(replicated_stat, (sealed ? kSealed : kUnsealed).uncached_stat);
 }
 
 INSTANTIATE_TEST_SUITE_P(Envelope, HotPathAllocationTest, ::testing::Values(false, true),
