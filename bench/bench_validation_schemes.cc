@@ -32,7 +32,7 @@ namespace {
 using namespace itc;
 using namespace itc::bench;
 
-using Scheme = venus::VenusConfig::Validation;
+using Scheme = vice::Validation;
 
 const char* SchemeName(Scheme s) {
   switch (s) {
@@ -54,7 +54,7 @@ uint64_t OpCalls(const rpc::CallStats& stats, const std::string& name) {
 
 struct SteadyResult {
   uint64_t total_calls = 0;
-  uint64_t validations = 0;       // Validate / GrantLease round trips
+  uint64_t validations = 0;       // Validate round trips
   uint64_t renew_calls = 0;       // batched RenewLeases RPCs
   double validations_per_open = 0;
   double cpu_util = 0;
@@ -85,10 +85,7 @@ SteadyResult RunSteadyArm(Scheme scheme) {
   }
   r.cpu_util = lab.ServerCpuUtilization(end);
   r.open_ms = vs.MeanOpenLatency() / 1000.0;
-  auto& server = lab.campus().server(0);
-  r.promises_or_leases = scheme == Scheme::kLeases
-                             ? server.leases().lease_count(end)
-                             : server.callbacks().promise_count();
+  r.promises_or_leases = lab.campus().server(0).callbacks().promise_count(end);
   return r;
 }
 
@@ -155,7 +152,7 @@ struct RestartResult {
   double recovery_s = 0;           // restart -> last probe round needing traffic
   bool never_quiet = false;        // scheme never regains trusted-cache service
   uint64_t probe_epoch_calls = 0;  // dedicated restart-detection RPCs
-  uint64_t revalidations = 0;      // Validate + GrantLease calls in the window
+  uint64_t revalidations = 0;      // Validate calls in the window
   uint64_t renew_calls = 0;
   double lease_embargo_s = 0;      // server-side grant refusal window
   double embargo_write_delay_s = 0;  // extra delay of a write at restart+1s
@@ -243,7 +240,7 @@ RestartResult RunRestartArm(Scheme scheme) {
   r.server_recovery_s = static_cast<double>(rig.report.recovery_time) / Seconds(1);
   r.lease_embargo_s =
       scheme == Scheme::kLeases
-          ? static_cast<double>(campus.server(0).leases().suspended_until() -
+          ? static_cast<double>(campus.server(0).callbacks().suspended_until() -
                                 restart_at) /
                 // itcfs-lint: allow(no-raw-lease-term) -- Seconds(1) converts to display units, it is not a lease duration
                 Seconds(1)
@@ -264,8 +261,7 @@ RestartResult RunRestartArm(Scheme scheme) {
   // steady-state amortized maintenance and happen with or without a restart.
   const auto recovery_calls = [&campus]() {
     const rpc::CallStats cs = campus.TotalCallStats();
-    return OpCalls(cs, "Validate") + OpCalls(cs, "GrantLease") +
-           OpCalls(cs, "ProbeEpoch") + OpCalls(cs, "Fetch") +
+    return OpCalls(cs, "Validate") + OpCalls(cs, "ProbeEpoch") + OpCalls(cs, "Fetch") +
            OpCalls(cs, "FetchStatus");
   };
   SimTime last_busy = restart_at;
@@ -294,8 +290,7 @@ RestartResult RunRestartArm(Scheme scheme) {
 
   const rpc::CallStats after = campus.TotalCallStats();
   r.probe_epoch_calls = OpCalls(after, "ProbeEpoch") - OpCalls(before, "ProbeEpoch");
-  r.revalidations = (OpCalls(after, "Validate") - OpCalls(before, "Validate")) +
-                    (OpCalls(after, "GrantLease") - OpCalls(before, "GrantLease"));
+  r.revalidations = OpCalls(after, "Validate") - OpCalls(before, "Validate");
   r.renew_calls = OpCalls(after, "RenewLeases") - OpCalls(before, "RenewLeases");
   return r;
 }

@@ -32,10 +32,9 @@ CampusConfig CampusConfig::Prototype(uint32_t clusters, uint32_t workstations_pe
   return c;
 }
 
-CampusConfig& CampusConfig::UseValidation(venus::VenusConfig::Validation scheme) {
+CampusConfig& CampusConfig::UseValidation(vice::Validation scheme) {
   workstation.venus.validation = scheme;
-  vice.callbacks = scheme == venus::VenusConfig::Validation::kCallbacks;
-  vice.leases = scheme == venus::VenusConfig::Validation::kLeases;
+  vice.validation = scheme;
   return *this;
 }
 

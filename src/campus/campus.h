@@ -44,9 +44,9 @@ struct CampusConfig {
   // cache.
   static CampusConfig Prototype(uint32_t clusters, uint32_t workstations_per_cluster);
 
-  // Selects the cache-validation scheme coherently on both sides of the
-  // wire (Venus policy + Vice callback/lease machinery must agree).
-  CampusConfig& UseValidation(venus::VenusConfig::Validation scheme);
+  // Selects the cache-validation scheme on both sides of the wire: Venus
+  // and every Vice server must agree (docs/VALIDATION.md).
+  CampusConfig& UseValidation(vice::Validation scheme);
 };
 
 class Campus {

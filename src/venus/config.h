@@ -6,25 +6,26 @@
 #include <cstdint>
 
 #include "src/common/types.h"
+#include "src/vice/protocol.h"
 
 namespace itc::venus {
 
-struct VenusConfig {
-  // Cache validation scheme (Section 3.2). kCheckOnOpen is the prototype:
-  // a Validate RPC on every open of a cached file. kCallbacks is the
-  // revised invalidate-on-modification scheme: cached entries stay valid
-  // until the server breaks the callback promise. kLeases is the third
-  // scheme (Gray & Cheriton): a callback promise with an expiry — entries
-  // are trusted while their lease is live, renewed in per-server batches,
-  // and fall back to check-on-open once the lease lapses.
-  enum class Validation { kCheckOnOpen, kCallbacks, kLeases };
-  Validation validation = Validation::kCallbacks;
+// Lease scheme only: when a live lease is within this margin of expiry, an
+// open renews every aging lease from that server in one batched call. This
+// is a legal literal site for a lease duration (the no-raw-lease-term lint
+// rule pins every other site to this constant and vice::kLeaseTerm).
+inline constexpr SimTime kLeaseRenewMargin = Seconds(10);
 
-  // Lease mode only: when a live lease is within this margin of expiry, an
-  // open renews every aging lease from that server in one batched call.
-  // This is a legal literal site for a lease duration (the no-raw-lease-term
-  // lint rule pins every other site to the config).
-  SimTime lease_renew_margin = Seconds(10);
+struct VenusConfig {
+  // Cache validation scheme (Section 3.2), which the servers must share.
+  // kCheckOnOpen is the prototype: a Validate RPC on every open of a cached
+  // file. kCallbacks is the revised invalidate-on-modification scheme:
+  // cached entries stay valid until the server breaks the callback promise.
+  // kLeases is the third scheme (Gray & Cheriton): a callback promise with
+  // an expiry — entries are trusted while their lease is live, renewed in
+  // per-server batches, and fall back to check-on-open once the lease
+  // lapses.
+  vice::Validation validation = vice::Validation::kCallbacks;
 
   // Cache limit policy (Section 3.5.1). The prototype limited "the total
   // number of files in the cache rather than the total size ... In view of
@@ -55,7 +56,7 @@ struct VenusConfig {
 // The prototype, as measured in Section 5.2.
 inline VenusConfig PrototypeVenusConfig() {
   VenusConfig c;
-  c.validation = VenusConfig::Validation::kCheckOnOpen;
+  c.validation = vice::Validation::kCheckOnOpen;
   c.cache_limit = VenusConfig::CacheLimit::kFileCount;
   c.client_path_traversal = false;
   return c;

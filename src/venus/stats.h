@@ -1,6 +1,5 @@
-// Venus client-side counters, kept in their own header so the validation
-// policies (src/venus/validation/) can update them without pulling in all of
-// venus.h.
+// Venus client-side counters: one VenusStats per workstation, summed over
+// workstations with operator+= for campus-wide totals.
 
 #ifndef SRC_VENUS_STATS_H_
 #define SRC_VENUS_STATS_H_
@@ -16,7 +15,7 @@ struct VenusStats {
   uint64_t cache_hits = 0;  // opens served without a Fetch
   uint64_t fetches = 0;
   uint64_t stores = 0;
-  uint64_t validations = 0;  // Validate + GrantLease round trips
+  uint64_t validations = 0;  // Validate round trips (every scheme revalidates with it)
   uint64_t stat_calls = 0;
   uint64_t bytes_fetched = 0;
   uint64_t bytes_stored = 0;

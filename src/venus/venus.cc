@@ -30,7 +30,6 @@ Venus::Venus(NodeId node, sim::Clock* clock, unixfs::FileSystem* local_fs,
       cache_(local_fs, cache_dir, config) {
   ITC_CHECK(clock_ != nullptr && local_fs_ != nullptr && servers_ != nullptr &&
             network_ != nullptr);
-  policy_ = validation::MakeValidationPolicy(this);
 }
 
 Venus::~Venus() { Logout(); }
@@ -96,12 +95,13 @@ Result<rpc::ClientConnection*> Venus::ConnectionTo(ServerId server) {
   rpc::ClientConnection* raw = conn.get();
   connections_[server] = std::move(conn);
 
-  // Restart detection, only for schemes whose promises are open-ended
-  // (check-on-open never trusts a promise; leases expire on their own).
-  // Callback state is volatile at the server, so a fresh connection asks for
-  // the restart epoch; a bump since the last one we saw means the server
-  // crashed and every promise it held for us died with it.
-  if (policy_->WantsEpochProbe()) {
+  // Restart detection, only for callbacks, whose promises are open-ended
+  // (check-on-open never trusts a promise; leases expire on their own, and a
+  // restarted server refuses grants for one term instead). Callback state is
+  // volatile at the server, so a fresh connection asks for the restart
+  // epoch; a bump since the last one we saw means the server crashed and
+  // every promise it held for us died with it.
+  if (config_.validation == vice::Validation::kCallbacks) {
     auto epoch_reply = raw->Call(static_cast<uint32_t>(Proc::kProbeEpoch), Bytes{});
     if (epoch_reply.ok()) {
       rpc::Reader r(*epoch_reply);
@@ -137,7 +137,7 @@ void Venus::MarkServerSuspect(ServerId server) {
 }
 
 void Venus::NoteServerUnreachable(ServerId server) {
-  if (config_.validation == VenusConfig::Validation::kLeases) {
+  if (config_.validation == vice::Validation::kLeases) {
     // Mere unreachability does not void a lease: the server — crashed or
     // partitioned — will not complete a conflicting write before our expiry
     // (restart embargo covers the crash case). Bounded staleness until then
@@ -272,6 +272,126 @@ Result<VolumeId> Venus::ChooseVolume(VolumeId volume, bool for_update) {
   return volume;
 }
 
+// --- Cache validation --------------------------------------------------------------------
+
+bool Venus::Trusted(const CacheEntry& e, SimTime now) const {
+  switch (config_.validation) {
+    case vice::Validation::kCheckOnOpen:
+      // The prototype trusts nothing across opens: every use of a cached copy
+      // costs one Validate, the "cache validity checking ... 65%" of its
+      // server load (Section 5.2).
+      return false;
+    case vice::Validation::kCallbacks:
+      // The server promised to notify us before the entry goes stale, so a
+      // valid entry costs no communication at all.
+      return e.valid;
+    case vice::Validation::kLeases:
+      // The same promise with a horizon: past it, check-on-open.
+      return e.valid && e.lease_expiry > now;
+  }
+  return false;
+}
+
+Result<Venus::CheckResult> Venus::Revalidate(const Fid& fid, SimTime now) {
+  const bool leases = config_.validation == vice::Validation::kLeases;
+  CacheEntry* e = cache_.Find(fid);
+  if (leases && Trusted(*e, now) && e->lease_expiry - now <= kLeaseRenewMargin) {
+    RenewAging(fid, e->origin_server, now);
+    e = cache_.Find(fid);
+    if (e == nullptr) return Status::kInternal;
+  }
+  if (Trusted(*e, now)) return CheckResult{true, e->status};
+
+  // No promise (check-on-open, a broken callback, a suspect server, a lapsed
+  // lease): one Validate, which also registers a fresh promise for a current
+  // copy.
+  rpc::Writer w;
+  w.PutFid(fid);
+  w.PutU64(e->status.version);
+  ASSIGN_OR_RETURN(Bytes reply, CallForFid(fid, Proc::kValidate, w.Take()));
+  stats_.validations += 1;
+  rpc::Reader r(reply);
+  RETURN_IF_ERROR(rpc::ExpectOk(r));
+  ASSIGN_OR_RETURN(bool valid, r.Bool());
+  ASSIGN_OR_RETURN(VnodeStatus fresh, vice::ReadVnodeStatus(r));
+  SimTime expiry = 0;
+  if (leases) {
+    ASSIGN_OR_RETURN(expiry, r.I64());
+  }
+  e = cache_.Find(fid);
+  if (e != nullptr) {
+    if (valid) {
+      e->status = fresh;
+      e->valid = true;
+      e->origin_server = last_contacted_;
+      // expiry == 0 (grant embargo): stay on per-open validation until the
+      // server grants again.
+      TakeLease(*e, expiry);
+    } else {
+      // Stale: the fresh version number must NOT be stamped onto the stale
+      // data, or the next validation would pass vacuously.
+      e->valid = false;
+      e->lease_expiry = 0;
+    }
+  }
+  return CheckResult{valid, fresh};
+}
+
+void Venus::RenewAging(const Fid& trigger, ServerId origin, SimTime now) {
+  auto last = lease_renew_attempts_.find(origin);
+  if (last != lease_renew_attempts_.end() && now - last->second < kLeaseRenewMargin) return;
+  lease_renew_attempts_[origin] = now;
+
+  std::vector<Fid> aging;
+  for (const Fid& fid : cache_.CachedFids()) {
+    const CacheEntry* e = cache_.Find(fid);
+    if (e == nullptr || e->origin_server != origin) continue;
+    if (!e->valid || e->lease_expiry <= now) continue;
+    if (e->lease_expiry - now > kLeaseRenewMargin) continue;
+    aging.push_back(fid);
+  }
+  if (aging.empty()) return;
+
+  rpc::Writer w;
+  w.PutU32(static_cast<uint32_t>(aging.size()));
+  for (const Fid& f : aging) w.PutFid(f);
+  auto reply = CallForFid(trigger, Proc::kRenewLeases, w.Take());
+  if (!reply.ok()) return;
+  stats_.lease_renew_calls += 1;
+
+  rpc::Reader r(*reply);
+  if (rpc::ExpectOk(r) != Status::kOk) return;
+  auto new_expiry = r.U64();
+  auto n_rejected =
+      new_expiry.ok() ? r.Count(rpc::kFidWireBytes) : Result<uint32_t>(Status::kProtocolError);
+  if (!n_rejected.ok()) return;
+  std::vector<Fid> rejected;
+  rejected.reserve(*n_rejected);
+  for (uint32_t i = 0; i < *n_rejected; ++i) {
+    auto fid = r.FidField();
+    if (!fid.ok()) return;
+    rejected.push_back(*fid);
+  }
+  for (const Fid& fid : aging) {
+    CacheEntry* e = cache_.Find(fid);
+    if (e == nullptr) continue;
+    if (std::find(rejected.begin(), rejected.end(), fid) != rejected.end()) {
+      // Expired at the server (or under the grant embargo): the next use
+      // must revalidate. Data stays — a Validate can resurrect it.
+      e->lease_expiry = 0;
+      stats_.leases_rejected += 1;
+    } else {
+      e->lease_expiry = static_cast<SimTime>(*new_expiry);
+      stats_.leases_renewed += 1;
+    }
+  }
+}
+
+void Venus::TakeLease(CacheEntry& e, SimTime expiry) {
+  e.lease_expiry = expiry;
+  if (expiry > 0) stats_.lease_grants += 1;
+}
+
 // --- Cache core ------------------------------------------------------------------------
 
 Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
@@ -290,10 +410,10 @@ Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
   }
 
   if (e != nullptr && e->has_data) {
-    // The policy decides what "current" costs: nothing (live callback or
-    // lease), one Validate (check-on-open / lost promise), or a GrantLease
-    // with batched renewals. On usable=true the entry is already stamped.
-    auto v = policy_->Check(fid, clock_->now());
+    // The scheme decides what "current" costs: nothing (live callback or
+    // lease, perhaps after batched renewals) or one Validate (check-on-open,
+    // lost promise, lapsed lease). On usable=true the entry is stamped.
+    auto v = Revalidate(fid, clock_->now());
     if (v.ok()) {
       e = cache_.Find(fid);  // revalidate pointer (no rehash occurred, but be safe)
       if (v->usable) {
@@ -317,13 +437,13 @@ Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
   }
 
   content::Ref data;
-  auto status = RpcFetch(fid, &data);
-  if (!status.ok()) return status.status();
+  auto fetched = RpcFetch(fid, &data);
+  if (!fetched.ok()) return fetched.status();
   // Writing the fetched copy to the local disk cache costs local I/O time.
   clock_->Advance(cost_.LocalIoTime(data.size()));
-  CacheEntry& entry = cache_.InstallData(fid, *status, std::move(data));
+  CacheEntry& entry = cache_.InstallData(fid, fetched->status, std::move(data));
   entry.origin_server = last_contacted_;
-  policy_->OnFetched(entry);
+  TakeLease(entry, fetched->lease_expiry);
   cache_.Touch(fid, clock_->now());
   // The just-installed file must survive eviction even if it alone exceeds
   // the configured limit (it is about to be used).
@@ -337,25 +457,25 @@ Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
 Result<VnodeStatus> Venus::EnsureStatus(const Fid& fid) {
   clock_->Advance(cost_.cache_lookup);
   CacheEntry* e = cache_.Find(fid);
-  if (e != nullptr && policy_->Trusted(*e, clock_->now())) {
+  if (e != nullptr && Trusted(*e, clock_->now())) {
     cache_.Touch(fid, clock_->now());
     return e->status;
   }
   if (e != nullptr && e->has_data) {
     if (e->dirty) return e->status;  // pending local write: local truth
-    // The policy's check refreshes status as a side effect — and it alone
-    // decides whether the entry may adopt the fresh version number (stamping
-    // a fresh version onto stale data would make the next validation pass
-    // vacuously and serve the stale bytes as current).
-    ASSIGN_OR_RETURN(auto check, policy_->Check(fid, clock_->now()));
+    // Revalidation refreshes status as a side effect — and it alone decides
+    // whether the entry may adopt the fresh version number (stamping a fresh
+    // version onto stale data would make the next validation pass vacuously
+    // and serve the stale bytes as current).
+    ASSIGN_OR_RETURN(auto check, Revalidate(fid, clock_->now()));
     return check.fresh;
   }
-  ASSIGN_OR_RETURN(VnodeStatus status, RpcFetchStatus(fid));
-  CacheEntry& entry = cache_.PutStatus(fid, status);
+  ASSIGN_OR_RETURN(Fetched fetched, RpcFetchStatus(fid));
+  CacheEntry& entry = cache_.PutStatus(fid, fetched.status);
   entry.origin_server = last_contacted_;
-  policy_->OnFetched(entry);
+  TakeLease(entry, fetched.lease_expiry);
   cache_.Touch(fid, clock_->now());
-  return status;
+  return fetched.status;
 }
 
 Result<const vice::DirIndex*> Venus::DirIndexOf(const Fid& dir) {
@@ -368,48 +488,52 @@ Result<const vice::DirIndex*> Venus::DirIndexOf(const Fid& dir) {
 }
 
 void Venus::DropEvicted(const std::vector<Fid>& evicted) {
-  if (!logged_in()) return;
-  // The policy surrenders whatever server-side promise the scheme keeps per
-  // file (callback promise, lease) — a no-op for check-on-open.
-  for (const Fid& fid : evicted) policy_->OnEvict(fid);
+  // Surrender the server-side promise (callback or lease) on each evicted
+  // file; check-on-open holds none.
+  if (!logged_in() || config_.validation == vice::Validation::kCheckOnOpen) return;
+  for (const Fid& fid : evicted) {
+    rpc::Writer w;
+    w.PutFid(fid);
+    // Best effort: the server also drops a promise when it next breaks it,
+    // and a lease runs out on its own.
+    (void)CallForFid(fid, Proc::kRemoveCallback, w.Take());
+  }
 }
 
 void Venus::InvalidateDir(const Fid& dir) { cache_.Invalidate(dir); }
 
 // --- RPC wrappers ------------------------------------------------------------------------
 
-Result<VnodeStatus> Venus::RpcFetch(const Fid& fid, content::Ref* data) {
+Result<Venus::Fetched> Venus::RpcFetch(const Fid& fid, content::Ref* data) {
   rpc::Writer w;
   w.PutFid(fid);
-  last_lease_expiry_ = 0;
   std::optional<rpc::Bulk> bulk;
   ASSIGN_OR_RETURN(Bytes reply, CallForFid(fid, Proc::kFetch, w.Take(), &bulk));
   rpc::Reader r(reply);
   RETURN_IF_ERROR(rpc::ExpectOk(r));
-  ASSIGN_OR_RETURN(VnodeStatus status, vice::ReadVnodeStatus(r));
+  Fetched out;
+  ASSIGN_OR_RETURN(out.status, vice::ReadVnodeStatus(r));
   ASSIGN_OR_RETURN(*data, r.RefField(bulk));
-  if (config_.validation == VenusConfig::Validation::kLeases) {
-    ASSIGN_OR_RETURN(uint64_t expiry, r.U64());
-    last_lease_expiry_ = static_cast<SimTime>(expiry);
+  if (config_.validation == vice::Validation::kLeases) {
+    ASSIGN_OR_RETURN(out.lease_expiry, r.I64());
   }
   stats_.fetches += 1;
   stats_.bytes_fetched += data->size();
-  return status;
+  return out;
 }
 
-Result<VnodeStatus> Venus::RpcFetchStatus(const Fid& fid) {
+Result<Venus::Fetched> Venus::RpcFetchStatus(const Fid& fid) {
   rpc::Writer w;
   w.PutFid(fid);
-  last_lease_expiry_ = 0;
   ASSIGN_OR_RETURN(Bytes reply, CallForFid(fid, Proc::kFetchStatus, w.Take()));
   rpc::Reader r(reply);
   RETURN_IF_ERROR(rpc::ExpectOk(r));
-  ASSIGN_OR_RETURN(VnodeStatus status, vice::ReadVnodeStatus(r));
-  if (config_.validation == VenusConfig::Validation::kLeases) {
-    ASSIGN_OR_RETURN(uint64_t expiry, r.U64());
-    last_lease_expiry_ = static_cast<SimTime>(expiry);
+  Fetched out;
+  ASSIGN_OR_RETURN(out.status, vice::ReadVnodeStatus(r));
+  if (config_.validation == vice::Validation::kLeases) {
+    ASSIGN_OR_RETURN(out.lease_expiry, r.I64());
   }
-  return status;
+  return out;
 }
 
 Result<VnodeStatus> Venus::RpcStore(const Fid& fid, const Bytes& data) {
@@ -1028,9 +1152,7 @@ void Venus::FlushCache() {
   // path).
   for (auto& [sid, conn] : connections_) {
     auto it = servers_->find(sid);
-    if (it == servers_->end()) continue;
-    it->second->callbacks().UnregisterAll(this);
-    it->second->leases().ReleaseAll(this);
+    if (it != servers_->end()) it->second->callbacks().ReleaseAll(this);
   }
 }
 

@@ -14,7 +14,7 @@
 // recovery from workstation crashes").
 //
 // Both client generations are supported via VenusConfig:
-//   * check-on-open vs callback validation,
+//   * check-on-open vs callback validation (and leases, a third scheme),
 //   * server-side (prototype) vs client-side (revised) pathname traversal,
 //   * count-limited vs space-limited cache.
 //
@@ -46,7 +46,6 @@
 #include "src/venus/config.h"
 #include "src/venus/file_cache.h"
 #include "src/venus/stats.h"
-#include "src/venus/validation/validation_policy.h"
 #include "src/vice/file_server.h"
 #include "src/vice/lock_manager.h"
 #include "src/vice/protocol.h"
@@ -57,7 +56,7 @@ namespace itc::venus {
 // addressing: the ServerId -> endpoint directory).
 using ServerMap = std::map<ServerId, vice::ViceServer*>;
 
-class Venus : public vice::CallbackReceiver, private validation::ValidationHost {
+class Venus : public vice::CallbackReceiver {
  public:
   Venus(NodeId node, sim::Clock* clock, unixfs::FileSystem* local_fs,
         const std::string& cache_dir, VenusConfig config, const ServerMap* servers,
@@ -233,6 +232,35 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   [[nodiscard]] Result<Fid> MapForUpdate(Fid fid, bool for_update);
   [[nodiscard]] Result<Fid> WalkServer(const std::string& path);
 
+  // --- Cache validation (Section 3.2; docs/VALIDATION.md) ------------------------------
+  // May the entry be used at `now` without contacting the server? Never
+  // under check-on-open; while its callback promise holds under callbacks;
+  // while its promise holds and its lease is unexpired under leases.
+  bool Trusted(const CacheEntry& e, SimTime now) const;
+  // Outcome of Revalidate: either the cached entry may be used (after
+  // whatever round trips the scheme needed), or it is stale and the caller
+  // must fetch. `fresh` is the server's current status when a call was made,
+  // the entry's own status when it was trusted.
+  struct CheckResult {
+    bool usable = false;
+    vice::VnodeStatus fresh;
+  };
+  // Establishes whether the cached entry for `fid` (which must exist) is
+  // current. A trusted entry costs nothing, except that under leases an
+  // aging lease first renews every aging lease from its server. Otherwise
+  // one Validate asks the server, which also registers a fresh promise. On
+  // usable=true the entry has been stamped trusted; on usable=false its data
+  // is stale.
+  [[nodiscard]] Result<CheckResult> Revalidate(const Fid& fid, SimTime now);
+  // Renews, in one batched call, every live lease from `origin` that expires
+  // within kLeaseRenewMargin. Best effort: if the server is unreachable the
+  // leases simply keep their current horizon (that bound is the whole
+  // point), and no retry happens within the same margin window, so a
+  // partition costs at most one timeout per window, not one per open.
+  void RenewAging(const Fid& trigger, ServerId origin, SimTime now);
+  // The lease a reply granted (0: none) becomes the entry's trust horizon.
+  void TakeLease(CacheEntry& e, SimTime expiry);
+
   // --- Cache core ------------------------------------------------------------------------
   // Ensures a valid cached copy of `fid`'s data (fetching or validating as
   // the configuration demands); returns the entry. `hit` reports whether a
@@ -251,22 +279,15 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   [[nodiscard]] Status StoreBack(const Fid& fid);
 
   // --- RPC wrappers -------------------------------------------------------------------------
-  // Fetch wrappers also consume the lease grant piggybacked on the reply in
-  // lease mode (stashed in last_lease_expiry_ for the policy's OnFetched).
-  [[nodiscard]] Result<vice::VnodeStatus> RpcFetch(const Fid& fid, content::Ref* data);
-  [[nodiscard]] Result<vice::VnodeStatus> RpcFetchStatus(const Fid& fid);
+  // A Fetch or FetchStatus reply: the status, and under leases the expiry
+  // of the lease it granted (0: none).
+  struct Fetched {
+    vice::VnodeStatus status;
+    SimTime lease_expiry = 0;
+  };
+  [[nodiscard]] Result<Fetched> RpcFetch(const Fid& fid, content::Ref* data);
+  [[nodiscard]] Result<Fetched> RpcFetchStatus(const Fid& fid);
   [[nodiscard]] Result<vice::VnodeStatus> RpcStore(const Fid& fid, const Bytes& data);
-
-  // --- validation::ValidationHost (the policy's window into Venus) ----------
-  [[nodiscard]] Result<Bytes> CallFid(const Fid& fid, vice::Proc proc,
-                                      const Bytes& request) override {
-    return CallForFid(fid, proc, request);
-  }
-  ITC_KERNEL_ENTRY FileCache& entry_cache() override { return cache_; }
-  ITC_KERNEL_ENTRY VenusStats& venus_stats() override { return stats_; }
-  const VenusConfig& venus_config() const override { return config_; }
-  ITC_KERNEL_ENTRY ServerId last_contacted() const override { return last_contacted_; }
-  ITC_KERNEL_ENTRY SimTime last_lease_expiry() const override { return last_lease_expiry_; }
 
   NodeId node_;
   sim::Clock* clock_;
@@ -282,16 +303,15 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   crypto::Key user_key_;
   ITC_OWNED_BY_SHARD std::map<ServerId, std::unique_ptr<rpc::ClientConnection>> connections_;
   // Last restart epoch observed per server (ProbeEpoch on each fresh
-  // connection, callback mode only). A bump between connections means the
+  // connection, callbacks only). A bump between connections means the
   // server crashed while we were not looking.
   ITC_OWNED_BY_SHARD std::map<ServerId, uint32_t> server_epochs_;
   // Server that answered the most recent successful call (stamps the cache
   // entry it produced).
   ITC_OWNED_BY_SHARD ServerId last_contacted_ = kInvalidServer;
-  // Lease expiry carried by the most recent Fetch/FetchStatus reply.
-  ITC_OWNED_BY_SHARD SimTime last_lease_expiry_ = 0;
-  // The scheme-specific half of cache validation (src/venus/validation/).
-  std::unique_ptr<validation::ValidationPolicy> policy_;
+  // Last lease renewal attempt per server (throttles retries under
+  // partition).
+  ITC_OWNED_BY_SHARD std::map<ServerId, SimTime> lease_renew_attempts_;
 
   ITC_OWNED_BY_SHARD FileCache cache_;
   ITC_OWNED_BY_SHARD std::map<VolumeId, vice::VolumeInfo> volume_hints_;

@@ -28,9 +28,7 @@ ViceServer::ViceServer(ServerId id, NodeId node, net::Network* network,
             auto snapshot = protection_replica_.snapshot();
             return snapshot ? snapshot->UserKey(user) : std::nullopt;
           },
-          nonce_seed),
-      leases_(config.lease_term) {
-  ITC_CHECK(!(config_.callbacks && config_.leases));
+          nonce_seed) {
   protection->RegisterReplica(&protection_replica_);
   BindOps();
   endpoint_.set_service(&registry_);
@@ -73,8 +71,7 @@ void ViceServer::RegisterCallbackSink(NodeId node, CallbackReceiver* sink) {
 void ViceServer::UnregisterCallbackSink(NodeId node) {
   auto it = callback_sinks_.find(node);
   if (it != callback_sinks_.end()) {
-    callbacks_.UnregisterAll(it->second);
-    leases_.ReleaseAll(it->second);
+    callbacks_.ReleaseAll(it->second);
     callback_sinks_.erase(it);
   }
   // The teardown below must run even for a node that never registered a
@@ -124,7 +121,6 @@ void ViceServer::SimulateCrash() {
   // themselves, which only exist again once Restart() re-reads the store.
   endpoint_.DropAllConnections();
   callbacks_.DropAllPromises();
-  leases_.Clear();
   locks_ = LockManager{};
   callback_sinks_.clear();
   cps_cache_.clear();
@@ -194,7 +190,9 @@ recovery::RecoveryReport ViceServer::Restart(SimTime at) {
   // server cannot remember what it promised, so it refuses new grants until
   // every lease it could have issued before the crash has expired. Holders
   // simply fall back to check-on-open until then.
-  if (config_.leases) leases_.SuspendGrantsUntil(at + config_.lease_term);
+  if (config_.validation == Validation::kLeases) {
+    callbacks_.SuspendLeasesUntil(at + kLeaseTerm);
+  }
 
   // Serve the recovery I/O through the server disk: recovery takes real
   // virtual time, and the first post-restart RPCs queue behind it.
@@ -264,7 +262,6 @@ uint64_t ViceServer::total_calls() const { return endpoint_.call_stats().total_c
 
 void ViceServer::ResetStats() {
   callbacks_.ResetStats();
-  leases_.ResetStats();
   endpoint_.ResetStats();
   endpoint_.cpu().Reset();
   endpoint_.disk().Reset();
@@ -306,41 +303,43 @@ Status ViceServer::CheckFileBits(const Volume& vol, const Fid& fid, bool write) 
   return (status->mode & mask) != 0 ? Status::kOk : Status::kPermissionDenied;
 }
 
-// --- Callback plumbing ---------------------------------------------------------
+// --- Promises: callbacks and leases ----------------------------------------------
 
-void ViceServer::BreakCallbacks(const Fid& fid, rpc::CallContext& ctx) {
-  CallbackReceiver* writer_sink = nullptr;
-  auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) writer_sink = it->second;
-  if (config_.leases) {
-    // Reachable holders are notified immediately, like a callback break. An
-    // unreachable holder cannot be told, but its promise is time-bounded: the
-    // mutation's completion is held back until that lease has run out, so no
-    // client ever reads stale data under a live lease.
-    const SimTime safe = leases_.Break(fid, writer_sink, ctx.arrival(), node_, network_,
-                                       &endpoint_.cpu(), cost_);
-    ctx.DelayCompletionUntil(safe);
-    return;
-  }
-  if (!config_.callbacks) return;
-  callbacks_.Break(fid, writer_sink, ctx.arrival(), node_, network_, &endpoint_.cpu(),
-                   cost_);
+CallbackReceiver* ViceServer::SinkOf(NodeId client) const {
+  auto it = callback_sinks_.find(client);
+  return it != callback_sinks_.end() ? it->second : nullptr;
 }
 
-void ViceServer::MaybeRegisterCallback(const Fid& fid, rpc::CallContext& ctx) {
-  if (!config_.callbacks) return;
-  auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) callbacks_.Register(fid, it->second);
+void ViceServer::BreakPromises(const Fid& fid, rpc::CallContext& ctx) {
+  // Reachable holders are notified at once. An unreachable lease holder
+  // cannot be told, but its promise is time-bounded: the mutation's
+  // completion is held back until that lease has run out, so no client ever
+  // reads stale data under a live lease.
+  ctx.DelayCompletionUntil(callbacks_.Break(fid, SinkOf(ctx.client_node()), ctx.arrival(),
+                                            node_, network_, &endpoint_.cpu(), cost_));
 }
 
-void ViceServer::AppendLeaseGrant(const Fid& fid, rpc::CallContext& ctx, rpc::Writer& w) {
-  if (!config_.leases) return;
-  SimTime expiry = 0;
-  auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) {
-    expiry = leases_.Grant(fid, it->second, ctx.arrival());
+void ViceServer::RegisterPromise(const Fid& fid, rpc::CallContext& ctx, rpc::Writer* reply,
+                                 bool current) {
+  CallbackReceiver* sink = SinkOf(ctx.client_node());
+  switch (config_.validation) {
+    case Validation::kCheckOnOpen:
+      return;
+    case Validation::kCallbacks:
+      if (sink != nullptr) callbacks_.Register(fid, sink, ctx.arrival(), kNeverExpires);
+      return;
+    case Validation::kLeases: {
+      // A lease the reply cannot carry is not granted: its holder would not
+      // know the term.
+      if (reply == nullptr) return;
+      SimTime lease_expiry = 0;
+      if (current && sink != nullptr) {
+        lease_expiry = callbacks_.Register(fid, sink, ctx.arrival(), kLeaseTerm);
+      }
+      reply->PutU64(static_cast<uint64_t>(lease_expiry));
+      return;
+    }
   }
-  w.PutU64(static_cast<uint64_t>(expiry));
 }
 
 void ViceServer::ChargeAdminFile(rpc::CallContext& ctx) {
@@ -442,14 +441,8 @@ void ViceServer::BindOps() {
   bind(Proc::kRemoveCallback, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleRemoveCallback(ctx, r);
   });
-  bind(Proc::kGrantLease, [this](rpc::CallContext& ctx, rpc::Reader& r) {
-    return HandleGrantLease(ctx, r);
-  });
   bind(Proc::kRenewLeases, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleRenewLeases(ctx, r);
-  });
-  bind(Proc::kReleaseLease, [this](rpc::CallContext& ctx, rpc::Reader& r) {
-    return HandleReleaseLease(ctx, r);
   });
   bind(Proc::kGetVolumeStatus, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleGetVolumeStatus(ctx, r);
@@ -543,8 +536,7 @@ Bytes ViceServer::HandleFetch(rpc::CallContext& ctx, rpc::Reader& r, bool with_d
     w.PutStatus(Status::kOk);
     PutVnodeStatus(w, *status);
   }
-  MaybeRegisterCallback(*fid, ctx);
-  AppendLeaseGrant(*fid, ctx, w);
+  RegisterPromise(*fid, ctx, &w);
   return w.Take();
 }
 
@@ -569,13 +561,8 @@ Bytes ViceServer::HandleValidate(rpc::CallContext& ctx, rpc::Reader& r) {
   w.PutStatus(Status::kOk);
   w.PutBool(valid);
   PutVnodeStatus(w, *status);
-  MaybeRegisterCallback(*fid, ctx);
-  if (valid) {
-    AppendLeaseGrant(*fid, ctx, w);
-  } else if (config_.leases) {
-    // A stale copy gets no promise; the refetch will carry the grant.
-    w.PutU64(0);
-  }
+  // A stale copy gets no lease; the refetch will carry the grant.
+  RegisterPromise(*fid, ctx, &w, /*current=*/valid);
   return w.Take();
 }
 
@@ -614,8 +601,8 @@ Result<Bytes> ViceServer::HandleStore(rpc::CallContext& ctx, rpc::Reader& r) {
   // at the same time that another workstation is storing it will either
   // receive the old version or the new one, but never a partially modified
   // version" — whole-file store is atomic by construction here.
-  BreakCallbacks(*fid, ctx);
-  MaybeRegisterCallback(*fid, ctx);
+  BreakPromises(*fid, ctx);
+  RegisterPromise(*fid, ctx, /*reply=*/nullptr);
 
   auto status = vol->GetStatus(*fid);
   if (!status.ok()) return StatusReply(status.status());
@@ -661,7 +648,7 @@ Result<Bytes> ViceServer::HandleSetStatus(rpc::CallContext& ctx, rpc::Reader& r)
   }
   CommitIntention(ctx, lsn);
   ChargeAdminFile(ctx);
-  BreakCallbacks(*fid, ctx);
+  BreakPromises(*fid, ctx);
 
   auto status = vol->GetStatus(*fid);
   if (!status.ok()) return StatusReply(status.status());
@@ -742,8 +729,8 @@ Result<Bytes> ViceServer::HandleCreate(rpc::CallContext& ctx, rpc::Reader& r, Pr
 
   ctx.ChargeDisk(0);  // directory update
   ChargeAdminFile(ctx);
-  BreakCallbacks(*dir, ctx);
-  MaybeRegisterCallback(*created, ctx);
+  BreakPromises(*dir, ctx);
+  RegisterPromise(*created, ctx, /*reply=*/nullptr);
 
   auto status = vol->GetStatus(*created);
   if (!status.ok()) return StatusReply(status.status());
@@ -788,8 +775,8 @@ Result<Bytes> ViceServer::HandleRemove(rpc::CallContext& ctx, rpc::Reader& r, bo
 
   ctx.ChargeDisk(0);
   ChargeAdminFile(ctx);
-  BreakCallbacks(*parent, ctx);
-  if (victim.valid()) BreakCallbacks(victim, ctx);
+  BreakPromises(*parent, ctx);
+  if (victim.valid()) BreakPromises(victim, ctx);
   if (CrashPointHit(rpc::CrashPoint::kBeforeReply)) return Status::kUnavailable;
   return StatusReply(Status::kOk);
 }
@@ -835,9 +822,9 @@ Result<Bytes> ViceServer::HandleRename(rpc::CallContext& ctx, rpc::Reader& r) {
   CommitIntention(ctx, lsn);
   ctx.ChargeDisk(0);
   ChargeAdminFile(ctx);
-  BreakCallbacks(*from_dir, ctx);
-  if (!(*from_dir == *to_dir)) BreakCallbacks(*to_dir, ctx);
-  if (overwritten.valid()) BreakCallbacks(overwritten, ctx);
+  BreakPromises(*from_dir, ctx);
+  if (!(*from_dir == *to_dir)) BreakPromises(*to_dir, ctx);
+  if (overwritten.valid()) BreakPromises(overwritten, ctx);
   if (CrashPointHit(rpc::CrashPoint::kBeforeReply)) return Status::kUnavailable;
   return StatusReply(Status::kOk);
 }
@@ -864,7 +851,7 @@ Result<Bytes> ViceServer::HandleMakeMountPoint(rpc::CallContext& ctx, rpc::Reade
   }
   CommitIntention(ctx, lsn);
   ctx.ChargeDisk(0);
-  BreakCallbacks(*dir, ctx);
+  BreakPromises(*dir, ctx);
   if (CrashPointHit(rpc::CrashPoint::kBeforeReply)) return Status::kUnavailable;
   return StatusReply(Status::kOk);
 }
@@ -1067,41 +1054,8 @@ Bytes ViceServer::HandleLock(rpc::CallContext& ctx, rpc::Reader& r, bool acquire
 Bytes ViceServer::HandleRemoveCallback(rpc::CallContext& ctx, rpc::Reader& r) {
   auto fid = r.FidField();
   if (!fid.ok()) return StatusReply(Status::kProtocolError);
-  auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) callbacks_.Unregister(*fid, it->second);
+  if (CallbackReceiver* sink = SinkOf(ctx.client_node())) callbacks_.Release(*fid, sink);
   return StatusReply(Status::kOk);
-}
-
-Bytes ViceServer::HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r) {
-  // Validate + grant in one call: the lease-mode open path once a cached
-  // copy's lease has lapsed. Same shape as kValidate, plus the expiry.
-  auto fid = r.FidField();
-  auto version = fid.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
-  if (!fid.ok() || !version.ok()) return StatusReply(Status::kProtocolError);
-  Volume* vol = FindVolume(fid->volume);
-  if (vol == nullptr) return NotCustodianReply(location_.get(), fid->volume);
-
-  auto status = vol->GetStatus(*fid);
-  if (!status.ok()) return StatusReply(status.status());
-  if (Status s = CheckAccess(*vol, *fid, ctx.user(), protection::kLookup);
-      s != Status::kOk) {
-    return StatusReply(s);
-  }
-  NoteVolumeAccess(fid->volume, ctx.client_node());
-
-  const bool valid = status->version == *version;
-  rpc::Writer w;
-  w.PutStatus(Status::kOk);
-  w.PutBool(valid);
-  PutVnodeStatus(w, *status);
-  if (valid && config_.leases) {
-    AppendLeaseGrant(*fid, ctx, w);
-  } else {
-    // Fixed schema: the expiry field is always present; 0 means no promise
-    // (stale copy, restart embargo, or a server not running leases at all).
-    w.PutU64(0);
-  }
-  return w.Take();
 }
 
 Bytes ViceServer::HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r) {
@@ -1118,29 +1072,19 @@ Bytes ViceServer::HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r) {
   // the whole batch — that is the point of batching renewals per server.
   ctx.ChargeCpu(cost_.server_lwp_switch);
 
-  std::vector<Fid> rejected;
-  auto it = callback_sinks_.find(ctx.client_node());
-  const bool granting = config_.leases && it != callback_sinks_.end();
-  if (!granting) {
-    rejected = fids;  // nothing renewable here; caller must revalidate
-  } else {
-    rejected = leases_.Renew(it->second, fids, ctx.arrival());
-  }
+  CallbackReceiver* sink = SinkOf(ctx.client_node());
+  const bool granting = config_.validation == Validation::kLeases && sink != nullptr;
+  // Nothing is renewable without a lease here; the caller must revalidate.
+  const std::vector<Fid> rejected =
+      granting ? callbacks_.RenewLeases(sink, fids, ctx.arrival(), kLeaseTerm) : fids;
+  // Every renewed lease now runs to the same horizon.
+  const SimTime lease_expiry = granting ? ctx.arrival() + kLeaseTerm : 0;
   rpc::Writer w;
   w.PutStatus(Status::kOk);
-  // Every renewed lease now runs to the same horizon.
-  w.PutU64(granting ? static_cast<uint64_t>(ctx.arrival() + leases_.term()) : 0);
+  w.PutU64(static_cast<uint64_t>(lease_expiry));
   w.PutU32(static_cast<uint32_t>(rejected.size()));
   for (const Fid& f : rejected) w.PutFid(f);
   return w.Take();
-}
-
-Bytes ViceServer::HandleReleaseLease(rpc::CallContext& ctx, rpc::Reader& r) {
-  auto fid = r.FidField();
-  if (!fid.ok()) return StatusReply(Status::kProtocolError);
-  auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) leases_.Release(*fid, it->second);
-  return StatusReply(Status::kOk);
 }
 
 Bytes ViceServer::HandleGetVolumeStatus(rpc::CallContext& ctx, rpc::Reader& r) {

@@ -1,19 +1,20 @@
 // The Vice cluster server (Sections 3, 5).
 //
 // A ViceServer is one cluster server: an RPC endpoint, the volumes it is
-// custodian for (plus read-only replicas it hosts), a callback manager, a
-// lock manager, a replica of the protection database, and a snapshot of the
-// location database. It implements the Vice-Virtue interface of
-// src/vice/protocol.h and enforces protection on every call — workstations
-// are never trusted (Section 2.3).
+// custodian for (plus read-only replicas it hosts), a table of cache
+// promises, a lock manager, a replica of the protection database, and a
+// snapshot of the location database. It implements the Vice-Virtue
+// interface of src/vice/protocol.h and enforces protection on every call —
+// workstations are never trusted (Section 2.3).
 //
 // ViceConfig selects prototype vs revised behaviour:
 //   * server_side_pathnames — the prototype's full-pathname interface
 //     (Venus sends ResolvePath; the server pays per-component CPU),
 //   * admin_status_files — the prototype's two-Unix-files-per-Vice-file
 //     representation (extra disk op on data operations),
-//   * callbacks — the revised invalidate-on-modification scheme (when off,
-//     Venus must validate on every open),
+//   * validation — the cache validation scheme: no promises (Venus
+//     validates on every open), callbacks (the revised
+//     invalidate-on-modification scheme), or leases,
 //   * per_file_protection_bits — the revised hybrid protection scheme.
 
 #ifndef SRC_VICE_FILE_SERVER_H_
@@ -32,7 +33,6 @@
 #include "src/rpc/rpc.h"
 #include "src/sim/cost_model.h"
 #include "src/vice/callback_manager.h"
-#include "src/vice/lease/lease_manager.h"
 #include "src/vice/location_db.h"
 #include "src/vice/lock_manager.h"
 #include "src/vice/protocol.h"
@@ -41,33 +41,33 @@
 
 namespace itc::vice {
 
+// The lease term. This is the one place the duration may be spelled as a
+// literal (the no-raw-lease-term lint rule pins every other site to this
+// constant). Gray & Cheriton found short terms (tens of seconds) close to
+// optimal: long enough to cover a burst of opens, short enough that recovery
+// and partition staleness stay bounded.
+inline constexpr SimTime kLeaseTerm = Seconds(30);
+
 struct ViceConfig {
   bool server_side_pathnames = false;
   bool admin_status_files = false;
-  bool callbacks = true;
+  // Under callbacks and leases, Fetch/FetchStatus/Validate register a
+  // promise for the caller, and mutations break everyone else's. Under
+  // leases the promise lasts kLeaseTerm, the reply carries its expiry, and a
+  // restarted server refuses promises for one term instead of relying on
+  // epoch probes.
+  Validation validation = Validation::kCallbacks;
   bool per_file_protection_bits = true;
   // Re-dump volumes and truncate the intention log after this many committed
   // intentions (0 = never); bounds recovery time and modeled log space.
   uint32_t log_checkpoint_interval = 64;
-  // Lease-based validation (src/vice/lease/): callback promises with an
-  // expiry. When on, Fetch/FetchStatus/Validate piggyback a lease grant on
-  // their reply instead of registering an open-ended callback, and a
-  // restarted server refuses grants for one lease term instead of relying on
-  // epoch probes. `callbacks` and `leases` are mutually exclusive; Campus
-  // configs keep the server and Venus sides coherent.
-  bool leases = false;
-  // The lease term. This is the one place the duration may be spelled as a
-  // literal (the no-raw-lease-term lint rule pins every other site to the
-  // config). Gray & Cheriton found short terms (tens of seconds) close to
-  // optimal: long enough to cover a burst of opens, short enough that
-  // recovery and partition staleness stay bounded.
-  SimTime lease_term = Seconds(30);
 };
 
 // Prototype configuration in one call.
 inline ViceConfig PrototypeViceConfig() {
   return ViceConfig{/*server_side_pathnames=*/true, /*admin_status_files=*/true,
-                    /*callbacks=*/false, /*per_file_protection_bits=*/false};
+                    /*validation=*/Validation::kCheckOnOpen,
+                    /*per_file_protection_bits=*/false};
 }
 
 class ViceServer {
@@ -83,8 +83,8 @@ class ViceServer {
   rpc::ServerEndpoint& endpoint() { return endpoint_; }
   const rpc::ServerEndpoint& endpoint() const { return endpoint_; }
   const ViceConfig& config() const { return config_; }
+  // Callback promises and leases alike.
   CallbackManager& callbacks() { return callbacks_; }
-  LeaseManager& leases() { return leases_; }
   LockManager& locks() { return locks_; }
   protection::Replica& protection_replica() { return protection_replica_; }
 
@@ -177,15 +177,18 @@ class ViceServer {
 
   [[nodiscard]] Result<Volume*> VolumeFor(const Fid& fid, rpc::CallContext& ctx, rpc::Writer& reply);
 
-  // Invalidation fan-out before a mutation commits: callback breaks in
-  // callback mode; in lease mode, lease breaks whose unreachable-holder
-  // wait (if any) is imposed on the call's completion time.
-  void BreakCallbacks(const Fid& fid, rpc::CallContext& ctx);
-  void MaybeRegisterCallback(const Fid& fid, rpc::CallContext& ctx);
-  // Lease-mode reply tail: grants (or refuses) a lease to the caller and
-  // appends the expiry to `w`, so Fetch/FetchStatus/Validate/GrantLease
-  // replies all carry the grant without an extra RPC.
-  void AppendLeaseGrant(const Fid& fid, rpc::CallContext& ctx, rpc::Writer& w);
+  // The caller's registered sink, or null.
+  CallbackReceiver* SinkOf(NodeId client) const;
+  // Invalidation fan-out before a mutation commits: breaks every other
+  // holder's promise on `fid`, and holds the call's completion back until
+  // every unreachable holder's lease has run out.
+  void BreakPromises(const Fid& fid, rpc::CallContext& ctx);
+  // Promises the caller to notify it before `fid` changes (nothing under
+  // check-on-open). Under leases the promise is granted only to a `current`
+  // copy and its expiry (0: none granted) is appended to `reply`; a reply
+  // that cannot carry it (null) grants no lease.
+  void RegisterPromise(const Fid& fid, rpc::CallContext& ctx, rpc::Writer* reply,
+                       bool current = true);
   void ChargeAdminFile(rpc::CallContext& ctx);
   void NoteVolumeAccess(VolumeId volume, NodeId client);
 
@@ -231,9 +234,7 @@ class ViceServer {
   [[nodiscard]] Result<Bytes> HandleSetAcl(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleLock(rpc::CallContext& ctx, rpc::Reader& r, bool acquire);
   Bytes HandleRemoveCallback(rpc::CallContext& ctx, rpc::Reader& r);
-  Bytes HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r);
-  Bytes HandleReleaseLease(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleGetVolumeStatus(rpc::CallContext& ctx, rpc::Reader& r);
 
   ServerId id_;
@@ -247,7 +248,6 @@ class ViceServer {
   ITC_OWNED_BY_SHARD std::map<VolumeId, std::unique_ptr<Volume>> volumes_;
   std::shared_ptr<const LocationDb> location_;
   CallbackManager callbacks_;
-  LeaseManager leases_;
   LockManager locks_;
   ITC_OWNED_BY_SHARD std::unordered_map<NodeId, CallbackReceiver*> callback_sinks_;
   ITC_OWNED_BY_SHARD VolumeAccessMap volume_accesses_;

@@ -63,12 +63,8 @@ const rpc::OpSchema& ViceOpSchema() {
           {Op(Proc::kReleaseLock), "ReleaseLock", kO, false, 0, "`fid`",
            "— (`NOT_LOCKED` if not held)"},
           {Op(Proc::kRemoveCallback), "RemoveCallback", kO, true, 0, "`fid`", "—"},
-          {Op(Proc::kGrantLease), "GrantLease", kV, true, kOpChargesPathname,
-           "`fid, u64 version`",
-           "`bool valid, VnodeStatus, u64 lease_expiry` (0 = grant refused)"},
           {Op(Proc::kRenewLeases), "RenewLeases", kV, true, 0, "`u32 n, fid...`",
            "`u64 new_expiry, u32 n_rejected, fid...` (rejected must revalidate)"},
-          {Op(Proc::kReleaseLease), "ReleaseLease", kO, true, 0, "`fid`", "—"},
           {Op(Proc::kGetVolumeStatus), "GetVolumeStatus", kO, true, 0,
            "`u32 volume`", "`u64 quota, u64 usage, bool ro, bool online, u64 vnodes`"},
       });

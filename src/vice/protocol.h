@@ -24,6 +24,18 @@
 
 namespace itc::vice {
 
+// The cache validation scheme (Section 3.2; docs/VALIDATION.md). It is one
+// setting on each side of the wire, ViceConfig::validation and
+// VenusConfig::validation, and the two must agree: only a lease-scheme
+// server's replies carry a lease expiry (CampusConfig::UseValidation sets
+// both).
+//   * kCheckOnOpen: the prototype. Venus validates a cached copy on every
+//     open; the server promises nothing.
+//   * kCallbacks: the revised scheme. The server promises to notify Venus
+//     before its cached copy goes stale (a callback).
+//   * kLeases: Gray & Cheriton's leases, a callback promise with a term.
+enum class Validation { kCheckOnOpen, kCallbacks, kLeases };
+
 enum class Proc : uint32_t {
   // Connection / environment.
   kTestAuth = 1,
@@ -42,7 +54,7 @@ enum class Proc : uint32_t {
   // Data and status.
   kFetch = 10,        // fid -> status + whole-file data (registers callback)
   kFetchStatus = 11,  // fid -> status                  (registers callback)
-  kValidate = 12,     // fid + cached version -> valid? (check-on-open path)
+  kValidate = 12,     // fid + cached version -> valid? (registers callback)
   kStore = 13,        // fid + data -> new status       (breaks callbacks)
   kSetStatus = 14,    // fid + mode/owner bits -> new status
 
@@ -65,14 +77,10 @@ enum class Proc : uint32_t {
   kSetLock = 40,
   kReleaseLock = 41,
 
-  // Cache management.
-  kRemoveCallback = 50,  // Venus dropped its cached copy
-
-  // Leases (third validation scheme; see src/vice/lease/).
-  kGrantLease = 51,   // fid + cached version -> valid? + fresh lease
-  kRenewLeases = 52,  // batch: fids -> rejected fids (must revalidate)
-  kReleaseLease = 53, // Venus dropped its cached copy (lease-mode analog
-                      // of kRemoveCallback)
+  // Cache management. 51 and 53 are retired: Validate and RemoveCallback
+  // serve the lease scheme too.
+  kRemoveCallback = 50,  // Venus dropped its cached copy (callback or lease)
+  kRenewLeases = 52,     // batch: fids -> rejected fids (must revalidate)
 
   // Administration.
   kGetVolumeStatus = 60,  // quota, usage, type, online

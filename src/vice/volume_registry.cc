@@ -77,8 +77,8 @@ Status VolumeRegistry::MountAt(const Fid& dir, const std::string& name, VolumeId
   // custodian crash.
   server->CheckpointVolume(dir.volume);
   // Clients caching this directory must refetch it to see the mount.
-  server->callbacks().Break(dir, nullptr, 0, server->node(), server->network(),
-                            &server->endpoint().cpu(), server->cost());
+  server->callbacks().BreakFile(dir, 0, server->node(), server->network(),
+                                &server->endpoint().cpu(), server->cost());
   return Status::kOk;
 }
 

@@ -46,13 +46,14 @@ class VolumeRegistry {
 
   // Adds a mount point entry `name` in directory `dir` referring to
   // `child`'s root. Administrative path: applied directly at the custodian;
-  // outstanding callback promises on the directory are broken so connected
-  // clients see the new mount.
+  // outstanding promises (callbacks or leases) on the directory are broken
+  // so connected clients see the new mount.
   [[nodiscard]] Status MountAt(const Fid& dir, const std::string& name, VolumeId child);
 
-  // Breaks every callback promise on `volume` at its custodian. Invoked by
-  // administrative tooling after direct (non-RPC) mutations so connected
-  // clients cannot keep trusting stale cached copies.
+  // Breaks every promise (callback or lease) on `volume` at its custodian.
+  // Invoked by administrative tooling after direct (non-RPC) mutations so
+  // connected clients cannot keep trusting stale cached copies. Like every
+  // administrative break it waits for no one (CallbackManager::BreakVolume).
   [[nodiscard]] Status BreakVolumeCallbacks(VolumeId volume, SimTime at = 0);
 
   // Requests a fresh stable-storage image of the volume at its custodian
@@ -63,7 +64,7 @@ class VolumeRegistry {
   [[nodiscard]] Status CheckpointVolume(VolumeId volume);
 
   // Moves a volume to a new custodian. The volume is offline for the
-  // duration of the move; all outstanding callback promises on it are
+  // duration of the move; all outstanding promises on it are
   // broken. `at` is the administrative wall-clock instant used for the
   // callback traffic.
   [[nodiscard]] Status MoveVolume(VolumeId volume, ServerId new_custodian, SimTime at = 0);

@@ -24,8 +24,8 @@ TEST(CampusConfigTest, PrototypeAndRevisedDiffer) {
   EXPECT_EQ(revised.rpc.transport, rpc::Transport::kDatagram);
   EXPECT_TRUE(proto.vice.server_side_pathnames);
   EXPECT_FALSE(revised.vice.server_side_pathnames);
-  EXPECT_FALSE(proto.vice.callbacks);
-  EXPECT_TRUE(revised.vice.callbacks);
+  EXPECT_EQ(proto.vice.validation, vice::Validation::kCheckOnOpen);
+  EXPECT_EQ(revised.vice.validation, vice::Validation::kCallbacks);
   EXPECT_EQ(proto.workstation.venus.cache_limit, venus::VenusConfig::CacheLimit::kFileCount);
   EXPECT_EQ(revised.workstation.venus.cache_limit, venus::VenusConfig::CacheLimit::kSpace);
 }

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/campus/campus.h"
 
 namespace itc {
@@ -16,7 +18,7 @@ namespace {
 
 using campus::Campus;
 using campus::CampusConfig;
-using Scheme = venus::VenusConfig::Validation;
+using Scheme = vice::Validation;
 
 class ConsistencyTest : public ::testing::TestWithParam<Scheme> {
  protected:
@@ -138,6 +140,32 @@ TEST_P(ConsistencyTest, StatSeesFreshLength) {
   auto st = ws(1).Stat(file_);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 5000u);
+}
+
+// Administrative changes bypass the file server's handlers, so the volume
+// registry breaks the promises on what they touch itself. Those breaks must
+// reach lease holders as well as callback holders: within its term a lease
+// holder otherwise keeps trusting the old copy.
+TEST_P(ConsistencyTest, DirectPopulateReplacesCachedCopy) {
+  ASSERT_EQ(ws(0).WriteWholeFile(file_, ToBytes("v1")), Status::kOk);
+  auto before = ws(1).ReadWholeFile(file_);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(ToString(*before), "v1");  // cached at w1
+  ASSERT_EQ(campus_->PopulateDirect(owner_.volume, "/shared/doc", ToBytes("v2")),
+            Status::kOk);
+  auto after = ws(1).ReadWholeFile(file_);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(ToString(*after), "v2");
+}
+
+TEST_P(ConsistencyTest, NewHomeAppearsInCachedUsrListing) {
+  auto before = ws(1).ReadDir("/vice/usr");
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(std::count(before->begin(), before->end(), "newcomer"), 0);  // cached at w1
+  ASSERT_TRUE(campus_->AddUserWithHome("newcomer", "pw", 0).ok());
+  auto after = ws(1).ReadDir("/vice/usr");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(std::count(after->begin(), after->end(), "newcomer"), 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ConsistencyTest,

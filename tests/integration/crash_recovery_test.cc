@@ -21,7 +21,7 @@ namespace {
 using campus::Campus;
 using campus::CampusConfig;
 using rpc::CrashPoint;
-using Scheme = venus::VenusConfig::Validation;
+using Scheme = vice::Validation;
 
 class CrashRecoveryTest : public ::testing::TestWithParam<Scheme> {
  protected:

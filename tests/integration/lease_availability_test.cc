@@ -21,7 +21,7 @@ namespace {
 
 using campus::Campus;
 using campus::CampusConfig;
-using Scheme = venus::VenusConfig::Validation;
+using Scheme = vice::Validation;
 
 class LeaseAvailabilityTest : public ::testing::Test {
  protected:
@@ -69,7 +69,7 @@ TEST_F(LeaseAvailabilityTest, LeasesBoundStalenessUnderPartition) {
   writer().clock().AdvanceTo(p1 + Seconds(1));
   ASSERT_EQ(writer().WriteWholeFile(kFile, ToBytes("v2")), Status::kOk);
   EXPECT_GE(writer().clock().now(), Seconds(30));  // sat out the reader's lease
-  EXPECT_GE(campus_->server(0).leases().stats().waited_out, 1u);
+  EXPECT_GE(campus_->server(0).callbacks().stats().waited_out, 1u);
   EXPECT_GE(campus_->network().stats().partition_drops, 1u);
 
   // Within its lease the partitioned reader still serves the cached copy —
@@ -134,7 +134,7 @@ TEST_F(LeaseAvailabilityTest, CheckOnOpenIsUnavailableUnderPartitionButFreshAfte
 
 TEST_F(LeaseAvailabilityTest, RestartEmbargoRecoversWithinOneTermWithoutReestablishment) {
   MakeCampus(Scheme::kLeases);
-  const SimTime term = campus_->config().vice.lease_term;
+  const SimTime term = vice::kLeaseTerm;
 
   campus_->CrashServer(0);
   const SimTime restart_at = writer().clock().now();
@@ -160,7 +160,7 @@ TEST_F(LeaseAvailabilityTest, RestartEmbargoRecoversWithinOneTermWithoutReestabl
   ASSERT_TRUE(r2.ok());
   EXPECT_GT(reader().venus().stats().validations, v1);  // revalidated, not trusted
   EXPECT_EQ(reader().venus().stats().lease_grants, grants_before);
-  EXPECT_GE(campus_->server(0).leases().stats().refused, 1u);
+  EXPECT_GE(campus_->server(0).callbacks().stats().refused, 1u);
 
   // A mutation inside the embargo waits out every lease the dead server
   // might have forgotten — the write's completion lands past restart + term.

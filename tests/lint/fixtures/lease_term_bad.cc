@@ -1,4 +1,4 @@
-// Fixture: raw numeric lease durations outside the config default sites.
+// Fixture: raw numeric lease durations outside the two constants' headers.
 #include "src/common/types.h"
 
 namespace itc {
@@ -10,6 +10,11 @@ void Offenders(SimTime now) {
   if (lease_expiry - now < Millis(500)) {  // 3: renewal margin from a literal
     RenewLeases();
   }
+}
+
+void ServerOffenders(SimTime at) {
+  callbacks_.SuspendLeasesUntil(at + sim::Seconds(90));  // 4: docs/LINT.md's example
+  callbacks_.RenewLeases(sink, fids, at, Seconds(30));   // 5: renewal term from a literal
 }
 
 }  // namespace itc

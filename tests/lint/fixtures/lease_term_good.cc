@@ -1,14 +1,15 @@
-// Fixture: lease durations read from the configs; unrelated literals stay
-// legal, as does a suppressed occurrence.
+// Fixture: lease durations read from the two constants; unrelated literals
+// stay legal, as does a suppressed occurrence.
 #include "src/common/types.h"
 
 namespace itc {
 
-void Legal(SimTime now, const ViceConfig& vice, const VenusConfig& venus) {
-  SimTime lease_expiry = now + vice.lease_term;  // configured term
+void Legal(SimTime now) {
+  SimTime lease_expiry = now + vice::kLeaseTerm;  // the one term
   (void)lease_expiry;
-  SuspendLeaseGrantsUntil(now + vice.lease_term);
-  if (lease_expiry - now < venus.lease_renew_margin) {
+  SuspendLeaseGrantsUntil(now + vice::kLeaseTerm);
+  callbacks_.SuspendLeasesUntil(now + vice::kLeaseTerm);
+  if (lease_expiry - now < venus::kLeaseRenewMargin) {
     RenewLeases();
   }
   // A time literal with no lease identifier in the statement is not a lease

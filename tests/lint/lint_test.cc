@@ -294,23 +294,23 @@ TEST(Lexer, RawStringsAndLineNumbers) {
 
 TEST(NoRawLeaseTerm, FiresOnNumericDurationsNearLeaseIdentifiers) {
   LintInput in;
-  in.files.push_back(LexFixture("lease_term_bad.cc", "src/vice/lease/lease_manager.cc"));
+  in.files.push_back(LexFixture("lease_term_bad.cc", "src/vice/callback_manager.cc"));
   const auto diags = RunOne("no-raw-lease-term", in);
-  EXPECT_EQ(diags.size(), 3u) << "expiry, embargo, renewal margin";
+  EXPECT_EQ(diags.size(), 5u) << "expiry, embargo, renewal margin, server embargo and renewal";
   for (const Diagnostic& d : diags) {
     EXPECT_EQ(d.rule, "no-raw-lease-term");
-    EXPECT_NE(d.message.find("lease_term"), std::string::npos);
+    EXPECT_NE(d.message.find("kLeaseTerm"), std::string::npos);
   }
 }
 
 TEST(NoRawLeaseTerm, QuietOnConfiguredDurationsAndUnrelatedLiterals) {
   LintInput in;
-  in.files.push_back(LexFixture("lease_term_good.cc", "src/vice/lease/lease_manager.cc"));
+  in.files.push_back(LexFixture("lease_term_good.cc", "src/vice/callback_manager.cc"));
   EXPECT_TRUE(RunOne("no-raw-lease-term", in).empty());
 }
 
 TEST(NoRawLeaseTerm, ExemptsTheTwoConfigDefaultSites) {
-  // The configured defaults are the one sanctioned literal spelling of each
+  // The two constants are the one sanctioned literal spelling of each
   // duration: the server term and the client renewal margin.
   LintInput in;
   in.files.push_back(LexFixture("lease_term_bad.cc", "src/vice/file_server.h"));

@@ -60,12 +60,16 @@ TEST(LatencyHistogramTest, MergeCombines) {
 
 TEST(OpSchemaTest, ViceSchemaLookup) {
   const OpSchema& schema = vice::ViceOpSchema();
-  EXPECT_EQ(schema.ops().size(), 27u);
+  EXPECT_EQ(schema.ops().size(), 25u);
   const OpSpec* fetch = schema.Find(static_cast<uint32_t>(vice::Proc::kFetch));
   ASSERT_NE(fetch, nullptr);
-  const OpSpec* grant = schema.Find(static_cast<uint32_t>(vice::Proc::kGrantLease));
-  ASSERT_NE(grant, nullptr);
-  EXPECT_EQ(grant->name, "GrantLease");
+  const OpSpec* renew = schema.Find(static_cast<uint32_t>(vice::Proc::kRenewLeases));
+  ASSERT_NE(renew, nullptr);
+  EXPECT_EQ(renew->name, "RenewLeases");
+  // GrantLease (51) and ReleaseLease (53) are retired; their numbers stay
+  // unassigned.
+  EXPECT_EQ(schema.Find(51), nullptr);
+  EXPECT_EQ(schema.Find(53), nullptr);
   EXPECT_EQ(fetch->name, "Fetch");
   EXPECT_EQ(fetch->call_class, CallClass::kFetch);
   EXPECT_TRUE(fetch->idempotent);

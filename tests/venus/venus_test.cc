@@ -58,8 +58,7 @@ TEST_F(VenusTest, CallbackModeSkipsValidationOnWarmOpens) {
 
 TEST_F(VenusTest, CheckOnOpenValidatesEveryOpen) {
   CampusConfig config = CampusConfig::Revised(1, 2);
-  config.workstation.venus.validation = VenusConfig::Validation::kCheckOnOpen;
-  config.vice.callbacks = false;
+  config.UseValidation(vice::Validation::kCheckOnOpen);
   Build(config);
   auto& ws = Login(0);
   const std::string path = "/vice/usr/alice/f";
@@ -77,8 +76,7 @@ TEST_F(VenusTest, CheckOnOpenValidatesEveryOpen) {
 
 TEST_F(VenusTest, CheckOnOpenSeesRemoteUpdateWithoutCallbacks) {
   CampusConfig config = CampusConfig::Revised(1, 3);
-  config.workstation.venus.validation = VenusConfig::Validation::kCheckOnOpen;
-  config.vice.callbacks = false;
+  config.UseValidation(vice::Validation::kCheckOnOpen);
   Build(config);
   auto other = campus_->AddUserWithHome("bob", "pw2", 0);
   ASSERT_TRUE(other.ok());
@@ -115,7 +113,7 @@ TEST_F(VenusTest, EvictionNotifiesCustodian) {
   EXPECT_GT(ws.venus().cache().stats().evictions, 0u);
   // Server-side promise count stays bounded by what is actually cached
   // (RemoveCallback was sent for evicted files).
-  const size_t promises = campus_->server(0).callbacks().promise_count();
+  const size_t promises = campus_->server(0).callbacks().promise_count(ws.clock().now());
   EXPECT_LE(promises, ws.venus().cache().entry_count() + 2);
 }
 

@@ -1,5 +1,6 @@
 // Unit tests for the lock manager (single-writer/multi-reader advisory
-// locks) and the callback manager (invalidate-on-modification promises).
+// locks) and the callback manager (invalidate-on-modification promises,
+// open-ended or leased).
 
 #include <array>
 #include <utility>
@@ -8,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "src/vice/callback_manager.h"
-#include "src/vice/lease/lease_manager.h"
 #include "src/vice/lock_manager.h"
 
 namespace itc::vice {
@@ -107,8 +107,16 @@ class CallbackTest : public ::testing::Test {
         r2_(topo_.WorkstationNode(0, 1)),
         r3_(topo_.WorkstationNode(0, 2)) {}
 
-  uint32_t Break(const Fid& fid, CallbackReceiver* except) {
-    return cbm_.Break(fid, except, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_);
+  // A callback promise: one that never expires.
+  void Register(const Fid& fid, CallbackReceiver* who) {
+    cbm_.Register(fid, who, 0, kNeverExpires);
+  }
+
+  // Notifications the break sent.
+  uint64_t Break(const Fid& fid, CallbackReceiver* except) {
+    const uint64_t before = cbm_.stats().broken;
+    cbm_.Break(fid, except, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_);
+    return cbm_.stats().broken - before;
   }
 
   net::Topology topo_;
@@ -121,9 +129,9 @@ class CallbackTest : public ::testing::Test {
 };
 
 TEST_F(CallbackTest, BreakNotifiesAllHoldersExceptWriter) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(f_, &r2_);
-  cbm_.Register(f_, &r3_);
+  Register(f_, &r1_);
+  Register(f_, &r2_);
+  Register(f_, &r3_);
   EXPECT_EQ(Break(f_, &r1_), 2u);
   EXPECT_TRUE(r1_.broken.empty());
   EXPECT_EQ(r2_.broken.size(), 1u);
@@ -132,14 +140,14 @@ TEST_F(CallbackTest, BreakNotifiesAllHoldersExceptWriter) {
 }
 
 TEST_F(CallbackTest, WriterPromiseSurvivesItsOwnBreak) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(f_, &r2_);
+  Register(f_, &r1_);
+  Register(f_, &r2_);
   Break(f_, &r1_);
   // r1 keeps its promise; r2's is gone.
-  EXPECT_TRUE(cbm_.HasPromise(f_, &r1_));
-  EXPECT_FALSE(cbm_.HasPromise(f_, &r2_));
+  EXPECT_TRUE(cbm_.HasPromise(f_, &r1_, 0));
+  EXPECT_FALSE(cbm_.HasPromise(f_, &r2_, 0));
   // A second write by r2 must notify r1.
-  cbm_.Register(f_, &r2_);
+  Register(f_, &r2_);
   EXPECT_EQ(Break(f_, &r2_), 1u);
   EXPECT_EQ(r1_.broken.size(), 1u);
 }
@@ -150,25 +158,25 @@ TEST_F(CallbackTest, BreakOnUnknownFidIsNoop) {
 }
 
 TEST_F(CallbackTest, UnregisterStopsNotifications) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Unregister(f_, &r1_);
+  Register(f_, &r1_);
+  cbm_.Release(f_, &r1_);
   EXPECT_EQ(Break(f_, nullptr), 0u);
 }
 
 TEST_F(CallbackTest, UnregisterAllDropsEveryPromise) {
   const Fid g{1, 9, 9};
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(g, &r1_);
-  cbm_.Register(g, &r2_);
-  cbm_.UnregisterAll(&r1_);
-  EXPECT_FALSE(cbm_.HasPromise(f_, &r1_));
-  EXPECT_FALSE(cbm_.HasPromise(g, &r1_));
-  EXPECT_TRUE(cbm_.HasPromise(g, &r2_));
+  Register(f_, &r1_);
+  Register(g, &r1_);
+  Register(g, &r2_);
+  cbm_.ReleaseAll(&r1_);
+  EXPECT_FALSE(cbm_.HasPromise(f_, &r1_, 0));
+  EXPECT_FALSE(cbm_.HasPromise(g, &r1_, 0));
+  EXPECT_TRUE(cbm_.HasPromise(g, &r2_, 0));
 }
 
 TEST_F(CallbackTest, BreakChargesServerCpuAndNetwork) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(f_, &r2_);
+  Register(f_, &r1_);
+  Register(f_, &r2_);
   const uint64_t msgs_before = network_.stats().messages;
   Break(f_, nullptr);
   EXPECT_EQ(network_.stats().messages - msgs_before, 2u);
@@ -178,16 +186,34 @@ TEST_F(CallbackTest, BreakChargesServerCpuAndNetwork) {
 TEST_F(CallbackTest, BreakVolumeSweepsWholeVolume) {
   const Fid g{1, 9, 9};
   const Fid other_volume{2, 1, 1};
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(g, &r2_);
-  cbm_.Register(other_volume, &r3_);
+  Register(f_, &r1_);
+  Register(g, &r2_);
+  Register(other_volume, &r3_);
   const uint32_t sent =
       cbm_.BreakVolume(1, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_);
   EXPECT_EQ(sent, 2u);
   EXPECT_EQ(r1_.broken.size(), 1u);
   EXPECT_EQ(r2_.broken.size(), 1u);
   EXPECT_TRUE(r3_.broken.empty());
-  EXPECT_TRUE(cbm_.HasPromise(other_volume, &r3_));
+  EXPECT_TRUE(cbm_.HasPromise(other_volume, &r3_, 0));
+}
+
+TEST_F(CallbackTest, AdministrativeBreaksWaitForNoOne) {
+  // r1 holds leases on two files and r2 a callback on one; both are cut off
+  // from the server. Neither administrative break waits, and neither leaves
+  // r1 a lease it could renew past its term.
+  const Fid g{2, 1, 1};
+  network_.AddPartition({{r1_.callback_node(), r2_.callback_node()}, 0, Seconds(100)});
+  cbm_.Register(f_, &r1_, 0, Seconds(30));
+  cbm_.Register(g, &r1_, 0, Seconds(30));
+  Register(f_, &r2_);
+  const NodeId server = topo_.ServerNode(0, 0);
+  EXPECT_EQ(cbm_.BreakFile(f_, Seconds(1), server, &network_, &cpu_, cost_), 0u);
+  EXPECT_EQ(cbm_.BreakVolume(g.volume, Seconds(1), server, &network_, &cpu_, cost_), 0u);
+  EXPECT_EQ(cbm_.stats().lost, 3u);
+  EXPECT_EQ(cbm_.stats().waited_out, 0u);
+  EXPECT_EQ(cbm_.promise_count(Seconds(1)), 0u);
+  EXPECT_EQ(cbm_.RenewLeases(&r1_, {f_, g}, Seconds(2), Seconds(30)).size(), 2u);
 }
 
 // Records, at each notification, the receiver's node and the server CPU
@@ -236,30 +262,29 @@ class BreakOrderTest : public CallbackTest {
 };
 
 TEST_F(BreakOrderTest, CallbackBreaksFollowNodeOrderNotAddressOrder) {
-  for (LoggingReceiver& r : receivers_) cbm_.Register(f_, &r);
+  for (LoggingReceiver& r : receivers_) Register(f_, &r);
   EXPECT_EQ(Break(f_, nullptr), receivers_.size());
   ExpectNodeOrder();
 }
 
 TEST_F(BreakOrderTest, VolumeBreaksFollowNodeOrderNotAddressOrder) {
-  for (LoggingReceiver& r : receivers_) cbm_.Register(f_, &r);
+  for (LoggingReceiver& r : receivers_) Register(f_, &r);
   EXPECT_EQ(cbm_.BreakVolume(f_.volume, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_),
             receivers_.size());
   ExpectNodeOrder();
 }
 
 TEST_F(BreakOrderTest, LeaseBreaksFollowNodeOrderNotAddressOrder) {
-  LeaseManager leases(Seconds(30));
-  for (LoggingReceiver& r : receivers_) leases.Grant(f_, &r, 0);
-  leases.Break(f_, nullptr, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_);
-  EXPECT_EQ(leases.stats().broken, receivers_.size());
+  for (LoggingReceiver& r : receivers_) cbm_.Register(f_, &r, 0, Seconds(30));
+  cbm_.Break(f_, nullptr, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_);
+  EXPECT_EQ(cbm_.stats().broken, receivers_.size());
   ExpectNodeOrder();
 }
 
 TEST_F(CallbackTest, RegisterIsIdempotentPerHolder) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(f_, &r1_);
-  EXPECT_EQ(cbm_.promise_count(), 1u);
+  Register(f_, &r1_);
+  Register(f_, &r1_);
+  EXPECT_EQ(cbm_.promise_count(0), 1u);
   EXPECT_EQ(Break(f_, nullptr), 1u);
 }
 

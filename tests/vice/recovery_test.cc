@@ -224,7 +224,7 @@ TEST_F(RecoveryTest, CrashDropsVolatileStateRestartRestoresVolumes) {
 
   server_->SimulateCrash();
   EXPECT_EQ(server_->endpoint().ConnectionCountFrom(client), 0u);
-  EXPECT_EQ(server_->callbacks().promise_count(), 0u);
+  EXPECT_EQ(server_->callbacks().promise_count(0), 0u);
   EXPECT_EQ(server_->volume_count(), 0u);
 
   // The stale connection is told the server no longer knows it.

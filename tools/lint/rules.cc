@@ -676,9 +676,9 @@ void CheckVfsDispatchOnly(const LexedFile& f, std::vector<Diagnostic>& out) {
 // --- no-raw-lease-term --------------------------------------------------------------
 
 bool LeaseTermExempt(const std::string& path) {
-  // The two places a lease duration is CONFIGURED rather than used: the
-  // server term (ViceConfig::lease_term) and the client renewal margin
-  // (VenusConfig::lease_renew_margin). Everywhere else reads those fields.
+  // The two places a lease duration is DEFINED rather than used: the server
+  // term (vice::kLeaseTerm) and the client renewal margin
+  // (venus::kLeaseRenewMargin). Everywhere else reads those constants.
   return path == "src/vice/file_server.h" || path == "src/venus/config.h";
 }
 
@@ -701,7 +701,7 @@ void CheckNoRawLeaseTerm(const LexedFile& f, std::vector<Diagnostic>& out) {
   const Toks& t = f.tokens;
   // Statement granularity: a numeric time literal is a raw lease term when
   // the same `;`/`{`/`}`-delimited statement also names something lease-ish
-  // (lease_term, lease_expiry, SuspendGrantsUntil-style callers spell one).
+  // (kLeaseTerm, lease_expiry, SuspendLeasesUntil-style callers spell one).
   size_t start = 0;
   for (size_t i = 0; i <= t.size(); ++i) {
     const bool boundary =
@@ -717,8 +717,8 @@ void CheckNoRawLeaseTerm(const LexedFile& f, std::vector<Diagnostic>& out) {
     if (lease_line != 0 && literal_at != 0) {
       Emit(out, f, t[literal_at].line, "no-raw-lease-term",
            "numeric time literal in a lease-term expression; lease durations "
-           "come from ViceConfig::lease_term / VenusConfig::lease_renew_margin "
-           "so the embargo and staleness bounds track the configured term");
+           "come from vice::kLeaseTerm / venus::kLeaseRenewMargin so the "
+           "embargo and staleness bounds track the one term");
     }
     start = i + 1;
   }

@@ -30,10 +30,10 @@
 //                           through the vfs::Switch mount layer
 //   no-raw-lease-term       no statement mixing a lease-related identifier
 //                           with a numeric time literal (Seconds(30), ...)
-//                           outside the two config default sites
-//                           (ViceConfig::lease_term in src/vice/
-//                           file_server.h, VenusConfig::lease_renew_margin
-//                           in src/venus/config.h) — the lease/renewal
+//                           outside the two constants' definitions
+//                           (vice::kLeaseTerm in src/vice/file_server.h,
+//                           venus::kLeaseRenewMargin in
+//                           src/venus/config.h) — the lease/renewal
 //                           clockwork must follow the configured term, or
 //                           the correctness argument (recovery embargo =
 //                           one term, staleness <= one term) silently
